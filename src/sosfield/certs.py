@@ -100,9 +100,11 @@ def _field_in(p, where):
         raise ParseError(f"{where}: irreducibility must be verified or asserted")
     try:
         f = parse_in_algebra(text, consts, Poly.const(E, E.one(), "T"))
-        return ExtField(base, f, irreducibility=mode)
+        field = ExtField(base, f, irreducibility="asserted")
     except SosfieldError as e:
         raise ParseError(f"{where}: bad modulus: {e}") from None
+    # a false irreducibility claim is a wrong claim (exit 1), not a malformed file
+    return ExtField(base, f, irreducibility=mode) if mode == "verified" else field
 
 
 def _elem_out(x):

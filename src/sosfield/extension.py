@@ -315,50 +315,47 @@ def _root_bound(f):
     return bound
 
 
-def _ratfunc_roots_finite(f, k, bound):
-    """All roots of f in k[X] with degree <= bound, for finite k."""
-    roots = []
-    E = f.field
-    for deg in range(bound + 1):
-        for tup in itertools.product(list(k.elements()), repeat=deg + 1):
-            g = Poly(k, tup[::-1], "X")
-            if g.degree() < deg:
-                continue
-            if f(RatFunc(g)) == E.zero():
-                roots.append(g)
-    return roots
+def _ratfunc_roots(base, f):
+    """All roots in k[X] of a monic f of degree <= 3 over k[X], possibly repeated.
 
+    k[X] is integrally closed, so every root of f in k(X) lies in k[X], with
+    degree at most _root_bound(f).  For separable f take the first place pi
+    not dividing disc(f): a root reduces to a simple residue root mod pi, whose
+    unique Hensel lift to precision bound // deg pi + 1 is the root itself
+    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).
+    """
+    from .factor import fq_roots
+    from .local import BasePlace, hensel_lift_root
+    from .split import SearchBudget, _candidate_uniformizers, number_field_roots
 
-def _ratfunc_roots_rational(f, bound):
-    """All roots of f in Q[X] with degree <= bound, by interpolation."""
-    from .factor import rational_roots
-
-    E = f.field
-    candidate_sets = []
-    for j in range(bound + 1):
-        xj = Fraction(j)
-        fx = Poly(QQ, [_eval_coeff_at(c, xj) for c in f.coeffs], "T")
-        rs = rational_roots(fx)
-        if not rs:
+    E, k = f.field, base.k
+    if not f.derivative():
+        # char 3 and f = T^3 + c: a root exists iff -c is a cube, i.e. lies in k[X^3]
+        c = -f.coeff(0).as_poly()
+        if any(a for i, a in enumerate(c.coeffs) if i % 3):
             return []
-        candidate_sets.append([(xj, r) for r in rs])
+        return [Poly(k, c.coeffs[::3], "X")]
+    disc = discriminant(f)
+    if not disc:
+        # a repeated factor of a polynomial of degree <= 3 is linear
+        g = poly_gcd(f, f.derivative())
+        a = -(g if g.degree() == 1 else f // g).coeff(0)
+        rest = f // Poly(E, [-a, E.one()], "T") ** 2
+        roots = [a] if rest.degree() == 0 else [a, -rest.coeff(0)]
+        return [r.as_poly() for r in roots]
+    budget = SearchBudget(max_size=disc.num.degree() + 1)
+    pi = next(p for p in _candidate_uniformizers(base, budget) if disc.num % p)
+    place = BasePlace(base, pi)
+    fbar = place.reduce_poly(f)
+    R = place.residue_field()
+    residue_roots = fq_roots(fbar) if R.order() is not None else number_field_roots(R, fbar)
+    bound = _root_bound(f)
     roots = []
-    from .poly import lagrange_interp
-
-    for combo in itertools.product(*candidate_sets):
-        g = lagrange_interp(QQ, list(combo), "X")
-        if g.degree() <= bound and f(RatFunc(g)) == E.zero():
-            if g not in roots:
-                roots.append(g)
+    for r in residue_roots:
+        g = hensel_lift_root(place, f, r, bound // pi.degree() + 1).value
+        if g.degree() <= bound and not f(RatFunc(g)):
+            roots.append(g)
     return roots
-
-
-def _eval_coeff_at(c, x0):
-    num = c.num(x0)
-    den = c.den(x0)
-    if den == 0:
-        raise DegenerateInputError("coefficient has a pole at interpolation node")
-    return num / den
 
 
 def verify_irreducible(base, f):
@@ -378,13 +375,9 @@ def verify_irreducible(base, f):
         return "reducible", fac.factors[0][0]
     if f.degree() > 3:
         return "asserted", None
-    bound = _root_bound(f)
-    if base.k == QQ:
-        roots = _ratfunc_roots_rational(f, bound)
-    else:
-        roots = _ratfunc_roots_finite(f, base.k, bound)
+    roots = _ratfunc_roots(base, f)
     if roots:
-        g = roots[0]
+        g = min(roots, key=Poly.sort_key)
         t_minus_root = Poly(f.field, [-RatFunc(g), f.field.one()], "T")
         return "reducible", t_minus_root
     return "verified", None

@@ -407,12 +407,6 @@ def factor_q(f, modular_prime=None):
     return Factorization(unit, tuple(factors))
 
 
-def rational_roots(f):
-    """Sorted rational roots of f (multiplicity ignored)."""
-    roots = [-g.coeff(0) for g, _ in factor_q(f).factors if g.degree() == 1]
-    return sorted(set(roots))
-
-
 # ---------------------------------------------------------------------------
 # Real root isolation
 

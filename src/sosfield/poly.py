@@ -278,22 +278,6 @@ def poly_pow_mod(a, e, m):
     return result
 
 
-def lagrange_interp(field, points, var):
-    """Polynomial of least degree through the given (x, y) pairs."""
-    total = Poly(field, [], var)
-    xs = [x for x, _ in points]
-    for i, (xi, yi) in enumerate(points):
-        num = Poly(field, [field.one()], var)
-        den = field.one()
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * Poly(field, [-xj, field.one()], var)
-            den = den * (xi - xj)
-        total = total + num * (yi / den)
-    return total
-
-
 def poly_sqrt(p, sqrt_fn):
     """Exact square root of p, or None. sqrt_fn takes/returns field elements."""
     if p.is_zero():

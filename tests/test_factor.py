@@ -10,7 +10,6 @@ from sosfield.factor import (
     fq_roots,
     good_prime,
     is_irreducible_fq,
-    rational_roots,
     refine_interval,
     sturm_isolate,
 )
@@ -111,14 +110,6 @@ def test_good_prime_avoids_disc_and_lc():
     assert good_prime([(-2), 0, 1]) == 3
     with pytest.raises(DegenerateInputError):
         good_prime((T - one) * (T - one))
-
-
-def test_rational_roots():
-    T = Poly.gen(QQ, "T")
-    one = Poly(QQ, [QQ.one()], "T")
-    f = (T - one * 2) * (T + one * Fraction(1, 3)) * (T * T + one)
-    assert sorted(rational_roots(f)) == [Fraction(-1, 3), Fraction(2)]
-    assert rational_roots(T * T + one) == []
 
 
 def test_sturm_isolate_counts():

@@ -10,7 +10,6 @@ from sosfield.poly import (
     RatFunc,
     RatFuncField,
     discriminant,
-    lagrange_interp,
     poly_ext_gcd,
     poly_gcd,
     poly_pow_mod,
@@ -143,13 +142,6 @@ def test_poly_pow_mod_matches_naive():
         m = _rand_poly(F, rng, rng.randrange(1, 4))
         e = rng.randrange(0, 30)
         assert poly_pow_mod(a, e, m) == (a**e) % m
-
-
-def test_lagrange_interp():
-    pts = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(5))]
-    f = lagrange_interp(QQ, pts, "T")
-    assert all(f(x) == y for x, y in pts)
-    assert f == P(QQ, [1, 0, 1])
 
 
 def test_poly_sqrt():
