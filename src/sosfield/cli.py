@@ -2,13 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input, 3
 mathematical failure (search budget exhausted, undecided).  Output for a
-fixed (argv, seed) is byte-identical across runs; the only recognized
-environment variable is SOSFIELD_THREADS, validated but purely advisory
-since all searches run sequentially in canonical order anyway.
+fixed (argv, seed) is byte-identical across runs.
 """
 
 import argparse
-import os
+import functools
 import sys
 
 from .certs import (
@@ -290,7 +288,9 @@ def _add_common(p, out=True):
         p.add_argument("--out", help="write the certificate to this file")
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser unchanged
     ap = argparse.ArgumentParser(
         prog="sosfield",
         description="exact certificates for sums of squares over global fields",
@@ -372,17 +372,6 @@ def _build_parser():
 
 
 def main(argv=None):
-    threads = os.environ.get("SOSFIELD_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(
-                f"error: SOSFIELD_THREADS must be a positive integer, got {threads!r}",
-                file=sys.stderr,
-            )
-            return 2
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

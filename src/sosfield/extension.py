@@ -300,11 +300,6 @@ def field_norm(x):
     return resultant(x.ring.modulus, x.rep())
 
 
-def ext_invert(x):
-    """Inverse in the quotient ring; ZeroDivisorError carries a modulus factor."""
-    return x.inverse()
-
-
 def _root_bound(f):
     """Degree bound for base-ring roots of a monic f over k(X)."""
     d, bound = f.degree(), 0
@@ -423,5 +418,3 @@ class ExtField(QuotientRing):
     def __repr__(self):
         return f"{self.base.label}[T]/({self.f!r})"
 
-
-ExtElem = QuotElem

@@ -20,7 +20,17 @@ from fractions import Fraction
 from .errors import DegenerateInputError
 from .fields import QQ, FqField
 from .numtheory import is_prime, prime_divisors
-from .poly import Poly, poly_ext_gcd, poly_gcd, poly_pow_mod
+from .poly import (
+    Poly,
+    _zl_add,
+    _zl_divmod,
+    _zl_ext_gcd,
+    _zl_mul,
+    _zl_sub,
+    _zl_trim,
+    poly_gcd,
+    poly_pow_mod,
+)
 
 
 @dataclass(frozen=True)
@@ -180,64 +190,15 @@ def _yun(f):
     return out
 
 
-def _zl_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zl_add(a, b, M):
-    n = max(len(a), len(b))
-    return _zl_trim(
-        [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % M for i in range(n)]
-    )
-
-
-def _zl_sub(a, b, M):
-    n = max(len(a), len(b))
-    return _zl_trim(
-        [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % M for i in range(n)]
-    )
-
-
-def _zl_mul(a, b, M):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % M
-    return _zl_trim(out)
-
-
-def _zl_divmod_monic(a, b, M):
-    """Division by a polynomial with invertible leading coefficient, mod M."""
-    a = [c % M for c in a]
-    inv = pow(b[-1], -1, M)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    _zl_trim(r)
-    while len(r) >= len(b) and r:
-        k = len(r) - len(b)
-        t = r[-1] * inv % M
-        q[k] = t
-        for i, c in enumerate(b):
-            r[k + i] = (r[k + i] - t * c) % M
-        _zl_trim(r)
-    return _zl_trim(q), r
-
-
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic lifting step: from factorization mod m to mod m*m."""
     M = m * m
     e = _zl_sub(f, _zl_mul(g, h, M), M)
-    q, r = _zl_divmod_monic(_zl_mul(s, e, M), h, M)
+    q, r = _zl_divmod(_zl_mul(s, e, M), h, M)
     g1 = _zl_add(g, _zl_add(_zl_mul(t, e, M), _zl_mul(q, g, M), M), M)
     h1 = _zl_add(h, r, M)
     b = _zl_sub(_zl_add(_zl_mul(s, g1, M), _zl_mul(t, h1, M), M), [1], M)
-    c, d = _zl_divmod_monic(_zl_mul(s, b, M), h1, M)
+    c, d = _zl_divmod(_zl_mul(s, b, M), h1, M)
     s1 = _zl_sub(s, d, M)
     t1 = _zl_sub(t, _zl_add(_zl_mul(t, b, M), _zl_mul(c, g1, M), M), M)
     return g1, h1, s1, t1
@@ -257,14 +218,9 @@ def _hensel_lift(p, f, facs, l):
     h = [1]
     for fi in facs[k:]:
         h = _zl_mul(h, fi, p)
-    Fp = FqField(p)
-    gP = Poly(Fp, g, "X")
-    hP = Poly(Fp, h, "X")
-    one, sP, tP = poly_ext_gcd(gP, hP)
-    if one.degree() != 0:
+    one, s, t = _zl_ext_gcd(g, h, p)
+    if len(one) != 1:
         raise DegenerateInputError("modular factors not coprime; bad prime")
-    s = [c.val for c in sP.coeffs]
-    t = [c.val for c in tP.coeffs]
     m = p
     steps = max(1, math.ceil(math.log2(l))) if l > 1 else 0
     for _ in range(steps):

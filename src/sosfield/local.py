@@ -6,7 +6,6 @@ iteration with doubling precision; every valuation returned has been read off
 an exact modular computation, never a float.
 """
 
-import threading
 from dataclasses import dataclass
 
 from .errors import (
@@ -221,16 +220,14 @@ class ExtPlace:
             raise DegenerateInputError("residue root is not simple")
         self.residue_root = root
         self._cache = None
-        self._lock = threading.Lock()
 
     def lift(self, precision):
         """Root of the defining polynomial modulo pi**precision."""
-        with self._lock:
-            if self._cache is None or self._cache.precision < precision:
-                self._cache = hensel_lift_root(
-                    self.base_place, self.field.modulus, self.residue_root, precision
-                )
-            return self._cache.truncate(precision)
+        if self._cache is None or self._cache.precision < precision:
+            self._cache = hensel_lift_root(
+                self.base_place, self.field.modulus, self.residue_root, precision
+            )
+        return self._cache.truncate(precision)
 
     def sort_key(self):
         return self.base_place.residue_field().sort_key(self.residue_root)

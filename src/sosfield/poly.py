@@ -3,11 +3,111 @@
 Coefficients are stored lowest degree first with no trailing zeros. A Poly is
 generic over the field objects from fields.py (and over RatFuncField below),
 so the same code serves Q[T], F_q[X], Q(X)[T] and F_q(X)[T].
+
+Over a prime field F_q the arithmetic runs on plain int lists, through the
+(Z/M)[X] kernel below with M = q; factor.py's Hensel lifting uses the same
+kernel with M = p^k. Poly.coeffs stays a tuple of FqElem either way.
 """
 
 from fractions import Fraction
 
 from .errors import DegenerateInputError
+from .fields import FqElem, FqField
+
+# ---------------------------------------------------------------------------
+# Int-list kernel for (Z/M)[X]: coefficient lists lowest degree first, no
+# trailing zeros. Inputs need not be reduced mod M, but a divisor's leading
+# coefficient must be a unit mod M; results are reduced into [0, M).
+
+
+def _zl_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _zl_add(a, b, M):
+    if len(a) < len(b):
+        a, b = b, a
+    out = [(x + y) % M for x, y in zip(a, b)]
+    out += [x % M for x in a[len(b) :]]
+    return _zl_trim(out)
+
+
+def _zl_sub(a, b, M):
+    out = [(x - y) % M for x, y in zip(a, b)]
+    if len(a) > len(b):
+        out += [x % M for x in a[len(b) :]]
+    else:
+        out += [-y % M for y in b[len(a) :]]
+    return _zl_trim(out)
+
+
+def _zl_mul(a, b, M):
+    if not a or not b:
+        return []
+    lb = len(b)
+    out = [0] * (len(a) + lb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + lb] = [o + x * y for o, y in zip(out[i : i + lb], b)]
+    return _zl_trim([c % M for c in out])
+
+
+def _zl_divmod(a, b, M):
+    """Quotient and remainder of a by b mod M; lc(b) must be a unit mod M."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, M)
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        t = r[k + db] * inv % M
+        if t:
+            q[k] = t
+            # position k + db cancels mod M and is never read again
+            r[k : k + db] = [x - t * y for x, y in zip(r[k : k + db], b)]
+    return _zl_trim(q), _zl_trim([c % M for c in r[:db]])
+
+
+def _zl_scale(a, c, M):
+    return _zl_trim([x * c % M for x in a])
+
+
+def _zl_pow_mod(a, e, m, M):
+    """a**e mod m, left-to-right square and multiply; 1 for e = 0."""
+    if not e:
+        return [1]
+    base = result = _zl_divmod(a, m, M)[1]
+    for bit in bin(e)[3:]:
+        result = _zl_divmod(_zl_mul(result, result, M), m, M)[1]
+        if bit == "1":
+            result = _zl_divmod(_zl_mul(result, base, M), m, M)[1]
+    return result
+
+
+def _zl_gcd(a, b, M):
+    """Monic gcd mod a prime M; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, _zl_divmod(a, b, M)[1]
+    return _zl_scale(a, pow(a[-1], -1, M), M) if a else a
+
+
+def _zl_ext_gcd(a, b, M):
+    """(g, s, t) mod a prime M with g monic (or zero) and s*a + t*b = g."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _zl_divmod(r0, r1, M)
+        r0, r1 = r1, r
+        s0, s1 = s1, _zl_sub(s0, _zl_mul(q, s1, M), M)
+        t0, t1 = t1, _zl_sub(t0, _zl_mul(q, t1, M), M)
+    if not r0:
+        return r0, s0, t0
+    inv = pow(r0[-1], -1, M)
+    return _zl_scale(r0, inv, M), _zl_scale(s0, inv, M), _zl_scale(t0, inv, M)
+
+
+def _ints(p):
+    return [c.val for c in p.coeffs]
 
 
 class Poly:
@@ -27,6 +127,16 @@ class Poly:
         self.field = field
         self.coeffs = tuple(cs)
         self.var = var
+
+    @classmethod
+    def _from_ints(cls, field, ints, var):
+        """Poly over the prime field `field` from a kernel result (reduced, trimmed)."""
+        p = cls.__new__(cls)
+        q = field.q
+        p.field = field
+        p.coeffs = tuple([FqElem(v, q) for v in ints])
+        p.var = var
+        return p
 
     @classmethod
     def const(cls, field, c, var):
@@ -68,6 +178,9 @@ class Poly:
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
+        F = self.field
+        if type(F) is FqField:
+            return Poly._from_ints(F, _zl_add(_ints(self), _ints(other), F.q), self.var)
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)], self.var)
 
@@ -77,6 +190,9 @@ class Poly:
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
+        F = self.field
+        if type(F) is FqField:
+            return Poly._from_ints(F, _zl_sub(_ints(self), _ints(other), F.q), self.var)
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.field, [self.coeff(i) - other.coeff(i) for i in range(n)], self.var)
 
@@ -90,6 +206,9 @@ class Poly:
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
+        F = self.field
+        if type(F) is FqField:
+            return Poly._from_ints(F, _zl_mul(_ints(self), _ints(other), F.q), self.var)
         if self.is_zero() or other.is_zero():
             return Poly(self.field, [], self.var)
         out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -118,6 +237,10 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        F = self.field
+        if type(F) is FqField:
+            q, r = _zl_divmod(_ints(self), _ints(other), F.q)
+            return Poly._from_ints(F, q, self.var), Poly._from_ints(F, r, self.var)
         q = [self.field.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
         rem = list(self.coeffs)
         d, inv_lc = other.degree(), self.field.one() / other.lc()
@@ -211,8 +334,20 @@ class Poly:
         return render_poly(self)
 
 
+def _fq_modulus(a, b):
+    """The modulus q when a and b are polys over one prime field F_q, else None."""
+    if type(a.field) is not FqField:
+        return None
+    if not isinstance(b, Poly) or b.field != a.field or b.var != a.var:
+        raise DegenerateInputError("mixed polynomial domains")
+    return a.field.q
+
+
 def poly_gcd(a, b):
     """Monic gcd over a field; gcd(0, 0) = 0."""
+    q = _fq_modulus(a, b)
+    if q is not None:
+        return Poly._from_ints(a.field, _zl_gcd(_ints(a), _ints(b), q), a.var)
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
@@ -220,6 +355,10 @@ def poly_gcd(a, b):
 
 def poly_ext_gcd(a, b):
     """Extended gcd: returns (g, s, t) with g monic (or zero) and s*a + t*b = g."""
+    q = _fq_modulus(a, b)
+    if q is not None:
+        g, s, t = _zl_ext_gcd(_ints(a), _ints(b), q)
+        return tuple([Poly._from_ints(a.field, c, a.var) for c in (g, s, t)])
     F, var = a.field, a.var
     one, zero = Poly(F, [F.one()], var), Poly(F, [], var)
     r0, r1, s0, s1, t0, t1 = a, b, one, zero, zero, one
@@ -268,6 +407,11 @@ def discriminant(f):
 
 def poly_pow_mod(a, e, m):
     """a**e mod m by square and multiply."""
+    q = _fq_modulus(a, m)
+    if q is not None:
+        if m.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        return Poly._from_ints(a.field, _zl_pow_mod(_ints(a), e, _ints(m), q), a.var)
     result = Poly(a.field, [a.field.one()], a.var)
     a = a % m
     while e:

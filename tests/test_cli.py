@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sosfield.cli import main
+from sosfield.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -195,26 +195,53 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SOSFIELD_THREADS", "zero")
-    code, _, err = run(capsys, "square-classes-q2")
-    assert code == 2 and "SOSFIELD_THREADS" in err
-    monkeypatch.setenv("SOSFIELD_THREADS", "0")
-    code, _, _ = run(capsys, "square-classes-q2")
-    assert code == 2
-    monkeypatch.setenv("SOSFIELD_THREADS", "4")
-    code, out, _ = run(capsys, "square-classes-q2")
-    assert code == 0
-
-
-def test_deterministic_output(capsys, tmp_path, monkeypatch):
+def test_deterministic_output(capsys, tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["witness", "--base", "Q", "--f", "T^2-2", "--seed", "0"]
     code, out1, _ = run(capsys, *argv, "--out", str(f1))
-    monkeypatch.setenv("SOSFIELD_THREADS", "3")
     code, out2, _ = run(capsys, *argv, "--out", str(f2))
     assert f1.read_text() == f2.read_text()
     assert out1.replace(str(f1), "F") == out2.replace(str(f2), "F")
+
+
+def test_main_repeated_in_one_process(capsys):
+    # the parser is built once per process; a run of calls, with an argparse
+    # error in the middle, must print what separate calls print
+    calls = [
+        ["witness", "--base", "Q", "--f", "T^2-2"],
+        ["hilbert", "-a", "2", "-b", "3", "-p", "3"],
+        ["witness", "--base", "Q", "--bogus"],
+        ["split-places", "--base", "Q", "--f", "T^2-2", "--count", "2"],
+        ["two-squares", "65"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    separate = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        separate.append(call(argv))
+    _build_parser.cache_clear()
+    together = [call(argv) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    assert together == separate
+    assert [code for code, _, _ in together] == [0, 0, 2, 0, 0]
+
+
+def test_witness_rejects_composite_place_psi12(capsys):
+    # a strong pseudoprime to the bases 2..37; was accepted as a place
+    code, _, err = run(
+        capsys, "witness", "--base", "Q", "--f", "T^2-3",
+        "--place", "318665857834031151167461",
+    )
+    assert code == 2
+    assert "not prime" in err
 
 
 def test_version_flag(capsys):

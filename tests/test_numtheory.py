@@ -6,6 +6,7 @@ import pytest
 
 from sosfield.errors import DegenerateInputError
 from sosfield.numtheory import (
+    _pollard_rho,
     factor_int,
     int_valuation,
     is_prime,
@@ -29,6 +30,36 @@ def test_is_prime_pseudoprimes():
     assert not any(map(is_prime, (561, 1105, 1729, 2465, 2821)))
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
+
+
+# psi_12, the least strong pseudoprime to every prime base up to 37
+PSI_12 = 318665857834031151167461
+PSI_12_FACTORS = (399165290221, 798330580441)
+
+
+def test_is_prime_psi12():
+    assert PSI_12 == PSI_12_FACTORS[0] * PSI_12_FACTORS[1]
+    assert not is_prime(PSI_12)
+    assert all(map(is_prime, PSI_12_FACTORS))
+    assert is_prime(41) and not is_prime(41 * 43)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert not sympy.isprime(PSI_12)
+    rng = random.Random(7)
+    sample = [rng.randrange(10**20, 10**24) | 1 for _ in range(300)]
+    sample += [sympy.nextprime(n) for n in sample[:30]]
+    assert [is_prime(n) for n in sample] == [sympy.isprime(n) for n in sample]
+
+
+def test_factor_int_psi12_is_not_reported_prime():
+    # the default rho budget (250,000 steps per attempt) is too small to split
+    # psi_12, so the cofactor comes back flagged incomplete rather than prime
+    fac, complete = factor_int(PSI_12)
+    assert (fac, complete) == ({PSI_12: 1}, False)
+    d = _pollard_rho(PSI_12, random.Random(0), max_steps=3_000_000)
+    assert {d, PSI_12 // d} == set(PSI_12_FACTORS)
 
 
 def test_primes_stream():

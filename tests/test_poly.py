@@ -185,3 +185,223 @@ def test_ratfunc_field_axioms_random():
 def test_poly_rejects_mixed_fields():
     with pytest.raises(DegenerateInputError):
         P(QQ, [1, 1]) + P(FqField(5), [1, 1])
+
+
+# ---------------------------------------------------------------------------
+# The int-list kernel behind Poly over F_q, against a schoolbook reference on
+# plain coefficient lists (lowest degree first) and against sympy.
+
+KERNEL_QS = (3, 7, 101, 10007)
+
+
+def _ref_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ref_add(a, b, q):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _ref_trim([(a[i] + b[i]) % q for i in range(n)])
+
+
+def _ref_neg(a, q):
+    return [(-c) % q for c in a]
+
+
+def _ref_mul(a, b, q):
+    out = [0] * (len(a) + len(b))
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] = (out[i + j] + a[i] * b[j]) % q
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b, q):
+    inv = pow(b[-1], -1, q)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    rem = list(a)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        t = rem[-1] * inv % q
+        quo[k] = t
+        rem = _ref_add(rem, _ref_neg(_ref_mul([0] * k + [t], b, q), q), q)
+    return _ref_trim(quo), rem
+
+
+def _ref_gcd(a, b, q):
+    while b:
+        a, b = b, _ref_divmod(a, b, q)[1]
+    return _ref_mul(a, [pow(a[-1], -1, q)], q) if a else a
+
+
+def _ref_pow_mod(a, e, m, q):
+    if e == 0:
+        return [1]  # poly_pow_mod leaves a**0 unreduced, even mod a constant
+    result, base = [1], _ref_divmod(a, m, q)[1]
+    for bit in bin(e)[2:]:
+        result = _ref_divmod(_ref_mul(result, result, q), m, q)[1]
+        if bit == "1":
+            result = _ref_divmod(_ref_mul(result, base, q), m, q)[1]
+    return result
+
+
+def _ints(p):
+    return [c.val for c in p.coeffs]
+
+
+def _kernel_cases(seed, count):
+    """Seeded (q, a, b) with degrees 0-40, zero and non-monic operands, b != 0."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.choice(KERNEL_QS)
+
+        def rand(lo):
+            d = rng.choice([lo, rng.randint(lo, 5), rng.randint(lo, 40)])
+            if d < 0:
+                return []
+            return [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]
+
+        yield q, rand(-1), rand(0)
+
+
+def _fq(q, a):
+    return Poly(FqField(q), a, "T")
+
+
+def test_kernel_arithmetic_matches_schoolbook():
+    for q, a, b in _kernel_cases(1, 200):
+        A, B = _fq(q, a), _fq(q, b)
+        assert _ints(A + B) == _ref_add(a, b, q)
+        assert _ints(A - B) == _ref_add(a, _ref_neg(b, q), q)
+        assert _ints(B - A) == _ref_add(b, _ref_neg(a, q), q)
+        assert _ints(A * B) == _ref_mul(a, b, q)
+        quo, rem = divmod(A, B)
+        assert (_ints(quo), _ints(rem)) == _ref_divmod(a, b, q)
+        for r in (A + B, A * B, quo, rem):
+            assert r.field == FqField(q) and r.var == "T"
+            assert all(c.q == q for c in r.coeffs)
+            assert not r.coeffs or r.coeffs[-1] != 0
+
+
+def test_kernel_gcd_matches_schoolbook():
+    for q, a, b in _kernel_cases(2, 120):
+        A, B = _fq(q, a), _fq(q, b)
+        g = _ref_gcd(a, b, q)
+        assert _ints(poly_gcd(A, B)) == g
+        assert _ints(poly_gcd(B, A)) == g
+        G, S, T = poly_ext_gcd(A, B)
+        assert _ints(G) == g
+        assert _ref_add(_ref_mul(_ints(S), a, q), _ref_mul(_ints(T), b, q), q) == g
+    F = FqField(7)
+    zero = Poly(F, [], "T")
+    assert poly_gcd(zero, zero).is_zero()
+    assert poly_ext_gcd(zero, zero) == (zero, Poly(F, [1], "T"), zero)
+
+
+def test_kernel_pow_mod_matches_schoolbook():
+    rng = random.Random(3)
+    for q, a, m in _kernel_cases(3, 24):
+        m = m[:13] if len(m) > 13 else m
+        if not m or m[-1] == 0:
+            m = m[:-1] + [1] if m else [1]
+        for e in (0, 1, 2, q, q + 1, rng.randrange(q**3)):
+            assert _ints(poly_pow_mod(_fq(q, a), e, _fq(q, m))) == _ref_pow_mod(a, e, m, q)
+
+
+def test_kernel_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    x = sympy.Symbol("x")
+
+    def to_sym(a, q):
+        return sympy.Poly(list(reversed(a)) or [0], x, modulus=q)
+
+    def from_sym(p, q):
+        return _ref_trim([c % q for c in reversed(p.all_coeffs())])
+
+    rng = random.Random(4)
+    for q, a, b in _kernel_cases(4, 40):
+        A, B, SA, SB = _fq(q, a), _fq(q, b), to_sym(a, q), to_sym(b, q)
+        assert _ints(A + B) == from_sym(SA + SB, q)
+        assert _ints(A - B) == from_sym(SA - SB, q)
+        assert _ints(A * B) == from_sym(SA * SB, q)
+        quo, rem = divmod(A, B)
+        squo, srem = SA.div(SB)
+        assert (_ints(quo), _ints(rem)) == (from_sym(squo, q), from_sym(srem, q))
+        assert _ints(poly_gcd(A, B)) == from_sym(SA.gcd(SB), q)
+        e = rng.randrange(q**3)
+        expected = gf_pow_mod([c % q for c in SA.all_coeffs()], e, [c % q for c in SB.all_coeffs()], q, ZZ)
+        assert _ints(poly_pow_mod(A, e, B)) == _ref_trim([int(c) for c in reversed(expected)])
+
+
+def test_kernel_modulo_prime_power():
+    # the ring (Z/p^k)[X] that factor._hensel_step works in: divisors have a
+    # unit leading coefficient, inputs may be negative or unreduced
+    from sosfield.poly import _zl_add, _zl_divmod, _zl_mul, _zl_sub
+
+    rng = random.Random(5)
+    for M in (3**10, 7**4, 101**3):
+        for _ in range(40):
+            a = _ref_trim([rng.randrange(-3 * M, 3 * M) for _ in range(rng.randint(0, 30))])
+            b = [rng.randrange(M) for _ in range(rng.randint(0, 12))]
+            b.append(rng.choice([1, M + 1, 2, M - 1]))
+            ra = _ref_trim([c % M for c in a])
+            assert _zl_add(a, b, M) == _ref_add(ra, b, M)
+            assert _zl_sub(a, b, M) == _ref_add(ra, _ref_neg(b, M), M)
+            assert _zl_sub(b, a, M) == _ref_add(b, _ref_neg(ra, M), M)
+            assert _zl_mul(a, b, M) == _ref_mul(ra, b, M)
+            quo, rem = _zl_divmod(a, b, M)
+            assert (quo, rem) == _ref_divmod(ra, _ref_trim([c % M for c in b]), M)
+            assert len(rem) < len(b)
+
+
+def test_hensel_step_lifts_mod_prime_square():
+    from sosfield.factor import _hensel_step
+    from sosfield.poly import _zl_add, _zl_ext_gcd, _zl_mul, _zl_sub
+
+    # f = (X^2 + 1)(X^3 - 2X + 5) + 7(X - 3), a product mod 7 only
+    f = [-16, 5, 5, -1, 0, 1]
+    p = 7
+    g, h = [1, 0, 1], [5, 5, 0, 1]
+    one, s, t = _zl_ext_gcd(g, h, p)
+    assert one == [1]
+    m = p
+    for _ in range(3):
+        g, h, s, t = _hensel_step(m, f, g, h, s, t)
+        m *= m
+        assert _zl_sub(f, _zl_mul(g, h, m), m) == []
+        assert _zl_add(_zl_mul(s, g, m), _zl_mul(t, h, m), m) == [1]
+
+
+def test_kernel_keeps_domain_checks():
+    F7, F5 = FqField(7), FqField(5)
+    a, b = P(F7, [1, 2, 3]), P(F7, [4, 1])
+    for other in (P(F5, [4, 1]), P(F7, [4, 1], var="X")):
+        for op in (
+            lambda u, v: u + v,
+            lambda u, v: u - v,
+            lambda u, v: u * v,
+            divmod,
+            poly_gcd,
+            poly_ext_gcd,
+            lambda u, v: poly_pow_mod(u, 5, v),
+        ):
+            with pytest.raises(DegenerateInputError):
+                op(a, other)
+    zero = Poly(F7, [], "T")
+    with pytest.raises(ZeroDivisionError):
+        divmod(a, zero)
+    with pytest.raises(ZeroDivisionError):
+        a % zero
+    with pytest.raises(ZeroDivisionError):
+        poly_pow_mod(a, 3, zero)
+    # a non-monic divisor divides through lc^-1 mod q
+    quo, rem = divmod(a, P(F7, [1, 3]))
+    assert quo * P(F7, [1, 3]) + rem == a and rem.degree() < 1
+    # scalars still mix in as constants
+    assert a * 3 == P(F7, [3, 6, 2]) and 3 * a == a * 3 and a + 1 == P(F7, [2, 2, 3])
