@@ -93,38 +93,34 @@ class SignPatternWitness:
         return x * x + y * y * self.alpha
 
 
-def _element_pool(field, max_height):
-    """Rationals and generator-linear elements a + b*theta, smallest first.
+def _height_layer(field, h):
+    """Elements a + b*theta whose coordinate height max(H(a), H(b)) is exactly h.
 
-    Ordered by coordinate height, then with constants before theta terms,
-    then by magnitude with nonnegative entries first.
+    Sorted by b, then by a, each by height, magnitude and sign (nonnegative
+    first), so constants come before theta terms.
     """
     theta = field.gen()
 
     def coord_key(c):
         return (_frac_height(c), abs(c), 0 if c >= 0 else 1)
 
-    out = []
-    for h in range(1, max_height + 1):
-        coords = [c for c in _rational_coeff_pool(h)]
-        fresh = []
-        for b in coords:
-            for a in coords:
-                if max(_frac_height(a), _frac_height(b)) != h:
-                    continue
-                fresh.append((a, b))
-        fresh.sort(key=lambda ab: (coord_key(ab[1]), coord_key(ab[0])))
-        out.extend(
-            (field.from_base(a) + field.from_base(b) * theta, h) for a, b in fresh
-        )
-    return out
+    coords = _rational_coeff_pool(h)
+    fresh = [
+        (a, b)
+        for b in coords
+        for a in coords
+        if max(_frac_height(a), _frac_height(b)) == h
+    ]
+    fresh.sort(key=lambda ab: (coord_key(ab[1]), coord_key(ab[0])))
+    return [(field.from_base(a) + field.from_base(b) * theta, h) for a, b in fresh]
 
 
 def indefinite_witness(field, alpha, e1, e2, max_height=8, max_pairs=20000):
     """Find beta = x^2 + y^2 alpha positive under e1 and negative under e2.
 
     Precondition: alpha is negative under both embeddings, so neither sign
-    of beta is forced.  The pair (x, y) is searched smallest-height first
+    of beta is forced.  The pair (x, y) is searched smallest-height first,
+    building the candidates of each height only when the search reaches it,
     and the returned witness carries exact certified signs.
     """
     alpha = field.coerce(alpha)
@@ -132,15 +128,12 @@ def indefinite_witness(field, alpha, e1, e2, max_height=8, max_pairs=20000):
         raise DegenerateInputError(
             "indefinite_witness needs alpha negative under both embeddings"
         )
-    pool = _element_pool(field, max_height)
+    pool = []  # (element, height) for the heights reached so far, ascending
     tried = 0
     for h in range(1, max_height + 1):
+        pool.extend(_height_layer(field, h))
         for x, hx in pool:
-            if hx > h:
-                break
             for y, hy in pool:
-                if hy > h:
-                    break
                 if max(hx, hy) != h:
                     continue
                 tried += 1

@@ -244,6 +244,18 @@ def test_witness_rejects_composite_place_psi12(capsys):
     assert "not prime" in err
 
 
+def test_witness_rejects_composite_place_psi13(capsys):
+    # a strong pseudoprime to the bases 2..41; T^2-3 was accepted as split
+    # there and the other two died with a traceback
+    for f in ("T^2-3", "T^2+1", "T^2-7"):
+        code, _, err = run(
+            capsys, "witness", "--base", "Q", "--f", f,
+            "--place", "3317044064679887385961981",
+        )
+        assert code == 2
+        assert "not prime" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["--version"])

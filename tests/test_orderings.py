@@ -16,6 +16,7 @@ from sosfield.orderings import (
     verify_sign_witness,
 )
 from sosfield.poly import Poly
+from sosfield.split import _frac_height, _rational_coeff_pool
 
 
 def _q_field(coeffs):
@@ -147,6 +148,92 @@ def test_indefinite_witness_preconditions_and_budget():
         indefinite_witness(K, K.from_int(-2), pos, neg, max_pairs=3)
     with pytest.raises(BudgetExhaustedError):
         indefinite_witness(K, K.from_int(-2), pos, neg, max_height=0)
+
+
+def _eager_element_pool(field, max_height):
+    """Every candidate up to max_height, built before the search starts."""
+    theta = field.gen()
+
+    def coord_key(c):
+        return (_frac_height(c), abs(c), 0 if c >= 0 else 1)
+
+    out = []
+    for h in range(1, max_height + 1):
+        coords = _rational_coeff_pool(h)
+        fresh = [
+            (a, b)
+            for b in coords
+            for a in coords
+            if max(_frac_height(a), _frac_height(b)) == h
+        ]
+        fresh.sort(key=lambda ab: (coord_key(ab[1]), coord_key(ab[0])))
+        out.extend(
+            (field.from_base(a) + field.from_base(b) * theta, h) for a, b in fresh
+        )
+    return out
+
+
+def _eager_search(field, alpha, e1, e2, max_height=8, max_pairs=20000):
+    """The search over the eager pool; returns (pair, candidates tried)."""
+    pool = _eager_element_pool(field, max_height)
+    tried = 0
+    for h in range(1, max_height + 1):
+        for x, hx in pool:
+            if hx > h:
+                break
+            for y, hy in pool:
+                if hy > h:
+                    break
+                if max(hx, hy) != h:
+                    continue
+                tried += 1
+                if tried > max_pairs:
+                    raise BudgetExhaustedError(
+                        f"no sign-splitting pair within {max_pairs} candidates"
+                    )
+                beta = x * x + y * y * alpha
+                if beta and sign_at(e1, beta) == 1 and sign_at(e2, beta) == -1:
+                    return (x, y), tried
+    raise BudgetExhaustedError(f"no sign-splitting pair up to height {max_height}")
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_indefinite_witness_matches_eager_pool(d):
+    K = _q_field([-d, 0, 1])
+    e0, e1 = real_embeddings(K)
+    t = K.gen()
+    # -20 needs height 2 for d = 3, 5, 7 and 11
+    cases = ((t - d, e1, e0), (t - d, e0, e1), (K.from_int(-2), e1, e0))
+    cases += ((K.from_int(-20), e1, e0),)
+    for alpha, pos, neg in cases:
+        pair, tried = _eager_search(K, alpha, pos, neg, max_height=3)
+        w = indefinite_witness(K, alpha, pos, neg, max_height=3)
+        assert (w.pair, w.embeddings, w.signs) == (pair, (pos, neg), (1, -1))
+        # the budget runs out at the same candidate
+        for budget in (tried - 1, tried // 2):
+            if budget < 1:
+                continue
+            with pytest.raises(BudgetExhaustedError) as lazy:
+                indefinite_witness(K, alpha, pos, neg, max_height=3, max_pairs=budget)
+            with pytest.raises(BudgetExhaustedError) as eager:
+                _eager_search(K, alpha, pos, neg, max_height=3, max_pairs=budget)
+            assert str(lazy.value) == str(eager.value)
+        w = indefinite_witness(K, alpha, pos, neg, max_height=3, max_pairs=tried)
+        assert w.pair == pair
+
+
+def test_indefinite_witness_height_exhaustion_matches_eager_pool():
+    # up to height 2, x^2 < 24 and y^2 > 1/25 for y != 0 under both
+    # embeddings, so alpha = -1000 leaves every beta with y != 0 negative
+    K = _q_field([-2, 0, 1])
+    neg, pos = real_embeddings(K)
+    alpha = K.from_int(-1000)
+    for max_height in (0, 1, 2):
+        with pytest.raises(BudgetExhaustedError) as lazy:
+            indefinite_witness(K, alpha, pos, neg, max_height=max_height)
+        with pytest.raises(BudgetExhaustedError) as eager:
+            _eager_search(K, alpha, pos, neg, max_height=max_height)
+        assert str(lazy.value) == str(eager.value)
 
 
 def test_verify_sign_witness_rejects_tampering():
