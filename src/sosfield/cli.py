@@ -11,96 +11,43 @@ import sys
 
 from .certs import (
     TOOL_VERSION,
+    parse_field,
+    parse_place,
     read_certificate,
+    render_place,
+    verify,
     write_certificate,
 )
-from .errors import (
-    BudgetExhaustedError,
-    CheckResult,
-    DegenerateInputError,
-    PrecisionExhaustedError,
-    RepresentationNotFoundError,
-    SosfieldError,
-    UndecidedError,
-)
-from .extension import ExtField, GlobalBase
-from .local import BasePlace
-from .orderings import (
-    SignPatternWitness,
-    indefinite_witness,
-    real_embeddings,
-    verify_sign_witness,
-)
-from .parsing import (
-    ParseError,
-    parse_in_algebra,
-    parse_rational,
-    render_poly,
-    render_scalar,
-)
-from .poly import Poly
+from .errors import DegenerateInputError, SosfieldError, UndecidedError
+from .extension import GlobalBase
+from .orderings import indefinite_witness, real_embeddings
+from .parsing import ParseError, parse_in_algebra, parse_rational, render_scalar
 from .ratlocal import (
-    DyadicHenselCertificate,
-    PythChain,
     dyadic_five_square_check,
     pyth_chain_reduce,
     q2_square_classes,
     hilbert_symbol,
     two_square_test,
-    verify_dyadic_certificate,
-    verify_pyth_chain,
 )
-from .split import (
-    SearchBudget,
-    SplitSearchResult,
-    analyze_place,
-    find_split_places,
-    verify_split_place,
-)
-from .witness import WitnessCertificate, nonpyth_witness, verify_certificate
-
-
-def _build_field(base_label, f_text):
-    base = GlobalBase.from_label(base_label)
-    E = base.fraction_field()
-    consts = {"T": Poly.gen(E, "T")}
-    if base.kind == "FF":
-        consts["X"] = Poly.const(E, E.gen(), "T")
-    f = parse_in_algebra(f_text, consts, Poly.const(E, E.one(), "T"))
-    if f.degree() < 1:
-        raise ParseError("defining polynomial must be nonconstant")
-    return ExtField(base, f)
-
-
-def _parse_base_place(base, text):
-    if base.kind == "Q":
-        try:
-            return BasePlace(base, int(text))
-        except ValueError:
-            raise ParseError(f"not an integer prime: {text!r}") from None
-    E = base.fraction_field()
-    rf = parse_in_algebra(text, {"X": E.gen()}, E.one())
-    if not rf.is_poly():
-        raise ParseError(f"uniformizer must be a polynomial: {text!r}")
-    return BasePlace(base, rf.as_poly())
+from .split import SearchBudget, analyze_place, find_split_places
+from .witness import nonpyth_witness
 
 
 def _place_summary(rec):
-    bp = rec.base_place
-    pi = bp.uniformizer if rec.field.base.kind == "Q" else render_poly(bp.uniformizer)
+    pi = render_place(rec.base_place)
     roots = ", ".join(render_scalar(r) for r in rec.roots)
     s = "none" if rec.sqrt_minus_one is None else render_scalar(rec.sqrt_minus_one)
     return f"place {pi}: roots [{roots}], nonreal={rec.nonreal}, sqrt(-1)={s}"
 
 
-def _emit(args, cert, budgets=None):
+def _emit(args, cert):
     if getattr(args, "out", None):
-        write_certificate(args.out, cert, seed=args.seed, budgets=budgets or {})
+        write_certificate(args.out, cert, seed=args.seed)
         print(f"certificate written to {args.out}")
 
 
 def _cmd_split_places(args):
-    field = _build_field(args.base, args.f)
+    field = parse_field(GlobalBase.from_label(args.base), args.f)
     budget = SearchBudget(max_candidates=args.max_candidates) if args.max_candidates else None
     res = find_split_places(
         field,
@@ -125,9 +72,9 @@ def _cmd_split_places(args):
 
 
 def _cmd_witness(args):
-    field = _build_field(args.base, args.f)
+    field = parse_field(GlobalBase.from_label(args.base), args.f)
     if args.place:
-        rec = analyze_place(field, _parse_base_place(field.base, args.place), args.seed)
+        rec = analyze_place(field, parse_place(field.base, args.place), args.seed)
         if rec is None:
             print("failure: the requested place is not completely split", file=sys.stderr)
             return 3
@@ -164,23 +111,7 @@ def _cmd_verify(args):
     except SosfieldError as e:
         print(f"INVALID certificate: claims do not reconstruct: {e}")
         return 1
-    if isinstance(obj, WitnessCertificate):
-        result, kind = verify_certificate(obj), "witness"
-    elif isinstance(obj, PythChain):
-        result, kind = verify_pyth_chain(obj), "pyth-chain"
-    elif isinstance(obj, SplitSearchResult):
-        kind = "split-places"
-        result = CheckResult(True, "ok")
-        for rec in obj.records:
-            result = verify_split_place(rec)
-            if not result:
-                break
-    elif isinstance(obj, SignPatternWitness):
-        result, kind = verify_sign_witness(obj), "sign-pattern"
-    elif isinstance(obj, DyadicHenselCertificate):
-        result, kind = verify_dyadic_certificate(obj), "dyadic-hensel"
-    else:
-        raise ParseError("unknown certificate object")
+    kind, result = verify(obj)
     if result:
         print(f"valid {kind} certificate ({result.reason})")
         return 0
@@ -248,7 +179,7 @@ def _cmd_two_squares(args):
 
 
 def _cmd_sign_witness(args):
-    field = _build_field("Q", args.f)
+    field = parse_field(GlobalBase("Q"), args.f)
     embs = real_embeddings(field)
     try:
         i, j = (int(t) for t in args.emb.split(","))
@@ -375,20 +306,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
+    except (ParseError, DegenerateInputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except DegenerateInputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (
-        BudgetExhaustedError,
-        PrecisionExhaustedError,
-        RepresentationNotFoundError,
-        UndecidedError,
-    ) as e:
-        print(f"failure: {e}", file=sys.stderr)
-        return 3
     except SosfieldError as e:
         print(f"failure: {e}", file=sys.stderr)
         return 3

@@ -35,7 +35,11 @@ class GlobalBase:
         if label == "QX":
             return cls("FF", QQ)
         if label.startswith("Fq:"):
-            return cls("FF", FqField(int(label[3:])))
+            try:
+                q = int(label[3:])
+            except ValueError:
+                raise DegenerateInputError(f"unknown base label {label!r}") from None
+            return cls("FF", FqField(q))
         raise DegenerateInputError(f"unknown base label {label!r}")
 
     @property

@@ -307,6 +307,20 @@ def _uniformizer_in_field(field, base_place):
     return field.from_base(field.base.from_ring(base_place.uniformizer))
 
 
+def check_places(places):
+    """The common field of distinct places over one base place of one field."""
+    if not places:
+        raise DegenerateInputError("need at least one place")
+    field = places[0].field
+    bp = places[0].base_place
+    for w in places:
+        if w.field != field or w.base_place != bp:
+            raise DegenerateInputError("places must share the field and base place")
+    if len({repr(w.residue_root) for w in places}) != len(places):
+        raise DegenerateInputError("places must be distinct")
+    return field
+
+
 def approx_idempotents(places, precision):
     """Lagrange elements e_i with e_i = delta_ij mod pi**precision at place j.
 
@@ -315,15 +329,9 @@ def approx_idempotents(places, precision):
     """
     if len(places) < 2:
         raise DegenerateInputError("need at least two places")
-    field = places[0].field
-    bp = places[0].base_place
-    for w in places:
-        if w.field != field or w.base_place != bp:
-            raise DegenerateInputError("places must share the field and base place")
-    if len({repr(w.residue_root) for w in places}) != len(places):
-        raise DegenerateInputError("places must be distinct")
+    field = check_places(places)
     base = field.base
-    m = bp.uniformizer_power(precision)
+    m = places[0].base_place.uniformizer_power(precision)
     lifts = [w.lift(precision).value for w in places]
     gen_poly = Poly.gen(field.F, field.var)
     out = []

@@ -248,36 +248,6 @@ def smallest_nonresidue(p):
     raise DegenerateInputError(f"{p} has no nonresidue; not an odd prime?")
 
 
-def sqrt_mod_p(a, p):
-    """Tonelli-Shanks square root of a modulo odd prime p, or None.
-
-    Returns the smaller of the two roots, for determinism.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = pow(smallest_nonresidue(p), q, p)
-    m, c, t, r = s, z, pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return min(r, p - r)
-
-
 def int_valuation(n, p):
     """Exponent of p in the nonzero integer n."""
     if n == 0:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import CheckResult, DegenerateInputError, PrecisionExhaustedError
 from .fields import rat_is_square
-from .numtheory import factor_int, int_valuation, is_prime, legendre, sqrt_mod_p
+from .numtheory import factor_int, int_valuation, is_prime, legendre, smallest_nonresidue
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,8 @@ class TwoSquareResult:
 
 def _cornacchia(p):
     """(a, b) with a <= b and a^2 + b^2 = p, for a prime p = 1 mod 4."""
-    r_prev, r = p, sqrt_mod_p(p - 1, p)
+    # r is a square root of -1 mod p; either one ends in the same (a, b)
+    r_prev, r = p, pow(smallest_nonresidue(p), (p - 1) // 4, p)
     while r * r >= p:
         r_prev, r = r, r_prev % r
     a = r

@@ -19,7 +19,7 @@ from .errors import (
     SosfieldError,
 )
 from .fields import QQ, field_sqrt
-from .local import ext_valuation, valuation_vector, weak_approx
+from .local import check_places, ext_valuation, valuation_vector, weak_approx
 from .poly import Poly
 from .split import number_field_roots, residue_is_nonreal, verify_split_place
 
@@ -188,19 +188,6 @@ def sos_uniformizer(place, height=10):
     return expr
 
 
-def _validate_places(places):
-    if not places:
-        raise DegenerateInputError("need at least one place")
-    field = places[0].field
-    bp = places[0].base_place
-    for w in places:
-        if w.field != field or w.base_place != bp:
-            raise DegenerateInputError("places must share the field and base place")
-    if len({repr(w.residue_root) for w in places}) != len(places):
-        raise DegenerateInputError("places must be distinct")
-    return field
-
-
 def tau_hit(places, target, height=10):
     """A sum of squares sigma in K with prescribed valuations at the places.
 
@@ -210,7 +197,7 @@ def tau_hit(places, target, height=10):
     returning.
     """
     places = list(places)
-    field = _validate_places(places)
+    field = check_places(places)
     if len(target) != len(places):
         raise DegenerateInputError("one target per place")
     target = [int(t) for t in target]

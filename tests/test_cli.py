@@ -261,3 +261,46 @@ def test_version_flag(capsys):
         main(["--version"])
     assert ei.value.code == 0
     assert "sosfield" in capsys.readouterr().out
+
+
+def test_malformed_fq_label_exits_2(capsys, tmp_path):
+    for label in ("Fq:abc", "Fq:"):
+        code, _, err = run(capsys, "witness", "--base", label, "--f", "T^2-X")
+        assert code == 2
+        assert f"unknown base label {label!r}" in err
+    path = tmp_path / "w.json"
+    run(capsys, "witness", "--base", "Q", "--f", "T^2-2", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["payload"]["field"]["base"] = "Fq:zz"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert "unknown base 'Fq:zz'" in err
+
+
+@pytest.mark.parametrize(
+    "kind, argv, tamper",
+    [
+        ("witness", ["witness", "--base", "Q", "--f", "T^2-2"],
+         lambda p: p["place"].update(nonreal=False)),
+        ("pyth-chain", ["pyth-chain", "--terms", "2,1,1,1"],
+         lambda p: p.update(sigma=8)),
+        ("split-places", ["split-places", "--base", "Q", "--f", "T^2-2", "--count", "2"],
+         lambda p: p["records"][0].update(nonreal=False)),
+        ("sign-pattern", ["sign-witness", "--f", "T^2-2", "--alpha", "T-2", "--emb", "1,0"],
+         lambda p: p.update(signs=[1, 1])),
+        ("dyadic-hensel", ["dyadic-check"],
+         lambda p: p.update(residue_ok=False)),
+    ],
+)
+def test_verify_every_kind(capsys, tmp_path, kind, argv, tamper):
+    path = tmp_path / "c.json"
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and out == f"valid {kind} certificate (ok)\n"
+    doc = json.loads(path.read_text())
+    tamper(doc["payload"])
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1 and out.startswith(f"INVALID {kind} certificate")

@@ -60,7 +60,8 @@ def test_fq_elements_enumeration():
 
 
 def test_field_sqrt_exhaustive_small():
-    for p in (3, 5, 7, 11, 13):
+    # 577 - 1 = 2^6 * 9 runs the Tonelli-Shanks loop several times
+    for p in (3, 5, 7, 11, 13, 17, 101, 577):
         F = FqField(p)
         squares = {(x * x) % p for x in range(p)}
         for a in range(p):

@@ -19,7 +19,6 @@ from sosfield.numtheory import (
     prime_divisors,
     primes,
     smallest_nonresidue,
-    sqrt_mod_p,
 )
 
 
@@ -248,18 +247,6 @@ def test_legendre_euler_criterion():
         for a in range(1, p):
             assert legendre(a, p) == (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
         assert legendre(p, p) == 0
-
-
-def test_sqrt_mod_p_all_squares():
-    for p in (3, 5, 7, 13, 17, 101, 577):
-        squares = {x * x % p for x in range(1, p)}
-        for a in range(1, p):
-            r = sqrt_mod_p(a, p)
-            if a in squares:
-                assert r is not None and r * r % p == a and r <= p - r
-            else:
-                assert r is None
-    assert sqrt_mod_p(0, 7) == 0
 
 
 def test_smallest_nonresidue():

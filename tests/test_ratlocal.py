@@ -1,13 +1,15 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from sosfield.errors import DegenerateInputError
-from sosfield.numtheory import factor_int, int_valuation, is_prime
+from sosfield.numtheory import factor_int, int_valuation, is_prime, primes
 from sosfield.ratlocal import (
     Q2_REPRESENTATIVES,
+    _cornacchia,
     dyadic_five_square_check,
     hensel_criterion,
     hilbert_symbol,
@@ -22,6 +24,26 @@ from sosfield.ratlocal import (
 )
 
 HARD_SEMIPRIME = (10**9 + 7) * (10**9 + 9)
+
+
+def test_cornacchia_matches_brute_force():
+    for p in primes(5):
+        if p >= 10**5:
+            break
+        if p % 4 != 1:
+            continue
+        a = next(a for a in range(1, p) if math.isqrt(p - a * a) ** 2 == p - a * a)
+        assert _cornacchia(p) == (a, math.isqrt(p - a * a)), p
+
+
+def test_cornacchia_large_primes():
+    rng = random.Random(20)
+    for _ in range(40):
+        p = rng.randrange(10**20, 2 * 10**20)
+        while p % 4 != 1 or not is_prime(p):
+            p += 1
+        a, b = _cornacchia(p)
+        assert a <= b and a * a + b * b == p
 
 
 def test_two_square_frozen_values():
