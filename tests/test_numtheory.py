@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sosfield.errors import DegenerateInputError
+from sosfield.fields import FqField, field_sqrt
 from sosfield.numtheory import (
     _TRIAL_BLOCK,
     _block_products,
@@ -247,6 +248,20 @@ def test_legendre_euler_criterion():
         for a in range(1, p):
             assert legendre(a, p) == (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
         assert legendre(p, p) == 0
+
+
+def test_sqrt_mod_p_all_squares():
+    # square roots mod p go through the one Tonelli-Shanks, fields.field_sqrt
+    for p in (3, 5, 7, 13, 17, 101, 577):
+        F = FqField(p)
+        squares = {x * x % p for x in range(1, p)}
+        for a in range(1, p):
+            r = field_sqrt(F, F.from_int(a))
+            if a in squares:
+                assert r is not None and r.val * r.val % p == a and r.val <= p - r.val
+            else:
+                assert r is None
+    assert field_sqrt(FqField(7), FqField(7).zero()).val == 0
 
 
 def test_smallest_nonresidue():
