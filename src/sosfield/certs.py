@@ -12,7 +12,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import CheckResult, SosfieldError
+from .errors import CheckResult, SosfieldError, clipped
 from .extension import ExtField, GlobalBase, QuotientRing
 from .fields import FqField
 from .local import BasePlace, ValuationVector
@@ -95,7 +95,7 @@ def _field_in(p, where):
     try:
         base = GlobalBase.from_label(label)
     except SosfieldError:
-        raise ParseError(f"{where}: unknown base {label!r}") from None
+        raise ParseError(f"{where}: unknown base {clipped(label)!r}") from None
     text = _need(p, "modulus", str, where)
     mode = _need(p, "irreducibility", str, where)
     if mode not in ("verified", "asserted"):

@@ -18,6 +18,11 @@ class CheckResult:
         return self.ok
 
 
+def clipped(text, limit=40):
+    """text for an error message, cut to `limit` characters plus '...'."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 class SosfieldError(Exception):
     """Base class for all package errors."""
 

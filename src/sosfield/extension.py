@@ -7,11 +7,11 @@ Reducibility of a modulus is detected lazily: inverting a zero divisor raises
 ZeroDivisorError carrying the discovered factor.
 """
 
-import itertools
 import math
+import re
 from fractions import Fraction
 
-from .errors import DegenerateInputError, ZeroDivisorError
+from .errors import DegenerateInputError, ZeroDivisorError, clipped
 from .fields import QQ, FqField
 from .poly import Poly, RatFunc, RatFuncField, discriminant, poly_ext_gcd, poly_gcd, resultant
 
@@ -34,13 +34,12 @@ class GlobalBase:
             return cls("Q")
         if label == "QX":
             return cls("FF", QQ)
-        if label.startswith("Fq:"):
+        if re.fullmatch(r"Fq:[1-9][0-9]*", label):
             try:
-                q = int(label[3:])
-            except ValueError:
-                raise DegenerateInputError(f"unknown base label {label!r}") from None
-            return cls("FF", FqField(q))
-        raise DegenerateInputError(f"unknown base label {label!r}")
+                return cls("FF", FqField(int(label[3:])))
+            except ValueError:  # more digits than int() converts
+                pass
+        raise DegenerateInputError(f"unknown base label {clipped(label)!r}")
 
     @property
     def label(self):
@@ -80,14 +79,6 @@ class GlobalBase:
 
     def ring_zero(self):
         return 0 if self.kind == "Q" else Poly(self.k, [], "X")
-
-    def is_ring_element(self, r):
-        if self.kind == "Q":
-            return isinstance(r, int)
-        return isinstance(r, Poly) and r.field == self.k and r.var == "X"
-
-    def ring_sort_key(self, r):
-        return r if self.kind == "Q" else r.sort_key()
 
     def common_denominator(self, elems):
         """A base-ring element d with d*e integral for every e given."""
@@ -269,11 +260,6 @@ class QuotientRing:
         base = self.F.order()
         return None if base is None else base**self.deg
 
-    def elements(self):
-        """All elements, constants first, then ascending by degree-major order."""
-        for tup in itertools.product(list(self.F.elements()), repeat=self.deg):
-            yield QuotElem(self, tup[::-1])
-
     def sort_key(self, x):
         return tuple(self.F.sort_key(c) for c in reversed(x.coords))
 
@@ -323,9 +309,8 @@ def _ratfunc_roots(base, f):
     unique Hensel lift to precision bound // deg pi + 1 is the root itself
     (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).
     """
-    from .factor import fq_roots
     from .local import BasePlace, hensel_lift_root
-    from .split import SearchBudget, _candidate_uniformizers, number_field_roots
+    from .split import SearchBudget, _candidate_uniformizers, residue_roots
 
     E, k = f.field, base.k
     if not f.derivative():
@@ -345,12 +330,9 @@ def _ratfunc_roots(base, f):
     budget = SearchBudget(max_size=disc.num.degree() + 1)
     pi = next(p for p in _candidate_uniformizers(base, budget) if disc.num % p)
     place = BasePlace(base, pi)
-    fbar = place.reduce_poly(f)
-    R = place.residue_field()
-    residue_roots = fq_roots(fbar) if R.order() is not None else number_field_roots(R, fbar)
     bound = _root_bound(f)
     roots = []
-    for r in residue_roots:
+    for r in residue_roots(place.residue_field(), place.reduce_poly(f)):
         g = hensel_lift_root(place, f, r, bound // pi.degree() + 1).value
         if g.degree() <= bound and not f(RatFunc(g)):
             roots.append(g)

@@ -5,13 +5,14 @@ coefficient domain; elements themselves carry the arithmetic through operator
 overloading. Polynomials and quotient rings are generic over this protocol:
 
     zero(), one(), from_int(n), coerce(x) -> element or None
-    char, order() (None when infinite), elements() (finite fields only)
+    char, order() (None when infinite)
     sort_key(x) -> tuple, rand(rng) -> element
 
 Rationals are stdlib Fraction; prime fields use FqElem with q an odd prime.
 """
 
 import math
+import random
 from fractions import Fraction
 
 from .errors import DegenerateInputError
@@ -182,9 +183,6 @@ class FqField:
     def order(self):
         return self.q
 
-    def elements(self):
-        return (FqElem(v, self.q) for v in range(self.q))
-
     def sort_key(self, x):
         return (x.val,)
 
@@ -204,8 +202,9 @@ class FqField:
 def field_sqrt(F, a):
     """Square root in a finite field object F (odd order), or None.
 
-    Generic Tonelli-Shanks driven only by the field protocol; returns the
-    canonically smaller root (by F.sort_key) for determinism.
+    Generic Tonelli-Shanks driven only by the field protocol, with its
+    nonresidue drawn from F.rand under a fixed seed; returns the canonically
+    smaller root (by F.sort_key), which no choice of nonresidue changes.
     """
     n = F.order()
     one, minus_one = F.one(), -F.one()
@@ -220,11 +219,11 @@ def field_sqrt(F, a):
     while q % 2 == 0:
         q //= 2
         s += 1
-    c = None
-    for cand in F.elements():
-        if cand != F.zero() and cand ** ((n - 1) // 2) == minus_one:
-            c = cand ** q
-            break
+    rng = random.Random(0)
+    c = F.rand(rng)
+    while c ** ((n - 1) // 2) != minus_one:
+        c = F.rand(rng)
+    c = c ** q
     m, t, r = s, a ** q, a ** ((q + 1) // 2)
     while t != one:
         t2, i = t * t, 1

@@ -77,10 +77,6 @@ class BasePlace:
                 self._residue = QuotientRing(self.base.k, mod)
         return self._residue
 
-    def residue_order(self):
-        """Order of the residue field, or None when it is infinite."""
-        return self.residue_field().order()
-
     def uniformizer_power(self, n):
         return self.uniformizer**n
 

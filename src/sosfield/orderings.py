@@ -18,7 +18,7 @@ from .errors import (
 from .extension import field_norm
 from .factor import refine_interval, sturm_isolate
 from .fields import rat_is_square
-from .split import _frac_height, _rational_coeff_pool
+from .split import _frac_height, height_tuples
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,8 @@ def _height_layer(field, h):
     def coord_key(c):
         return (_frac_height(c), abs(c), 0 if c >= 0 else 1)
 
-    coords = _rational_coeff_pool(h)
-    fresh = [
-        (a, b)
-        for b in coords
-        for a in coords
-        if max(_frac_height(a), _frac_height(b)) == h
-    ]
-    fresh.sort(key=lambda ab: (coord_key(ab[1]), coord_key(ab[0])))
+    # coord_key is injective, so the order does not depend on the input order
+    fresh = sorted(height_tuples(2, h), key=lambda ab: (coord_key(ab[1]), coord_key(ab[0])))
     return [(field.from_base(a) + field.from_base(b) * theta, h) for a, b in fresh]
 
 

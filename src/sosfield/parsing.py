@@ -102,6 +102,8 @@ class _Parser:
             if self.take() != ("op", ")"):
                 raise ParseError("missing closing parenthesis")
             return node
+        if kind == "end":
+            raise ParseError("unexpected end of input")
         raise ParseError(f"unexpected token {val!r}")
 
 

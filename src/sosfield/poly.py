@@ -319,11 +319,6 @@ class Poly:
             acc = acc * point + c
         return acc
 
-    def map_coeffs(self, target_field, fn=None, var=None):
-        """Map coefficients into target_field (via fn or target_field.coerce)."""
-        fn = fn or target_field.coerce
-        return Poly(target_field, [fn(c) for c in self.coeffs], var or self.var)
-
     def sort_key(self):
         # degree-major, then coefficients from the leading term down
         return (self.degree(), tuple(self.field.sort_key(c) for c in reversed(self.coeffs)))

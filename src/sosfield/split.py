@@ -81,6 +81,18 @@ def _frac_height(c):
     return max(abs(c.numerator), c.denominator)
 
 
+def height_tuples(n, height):
+    """The n-tuples of rationals of coordinate height exactly `height`.
+
+    In itertools.product order over _rational_coeff_pool(height), last entry
+    fastest.
+    """
+    pool = _rational_coeff_pool(height)
+    for tup in itertools.product(pool, repeat=n):
+        if max(_frac_height(c) for c in tup) == height:
+            yield tup
+
+
 def _candidate_uniformizers(base, budget):
     """Ring-element candidates in canonical order; irreducibility pre-filtered."""
     size = budget.size_for(base.label)
@@ -92,19 +104,18 @@ def _candidate_uniformizers(base, budget):
         return
     k = base.k
     if k != QQ:
-        elems = list(k.elements())
+        # candidate i has the base-q digits of i, lowest first, below a leading 1
+        q = k.order()
         for deg in range(1, size + 1):
-            for top in itertools.product(elems, repeat=deg):
-                pi = Poly(k, list(reversed(top)) + [k.one()], "X")
+            for i in range(q**deg):
+                low = [k.from_int(i // q**j % q) for j in range(deg)]
+                pi = Poly(k, low + [k.one()], "X")
                 if is_irreducible_fq(pi):
                     yield pi
         return
     for height in range(1, size + 1):
-        pool = _rational_coeff_pool(height)
         for deg in range(1, size + 1):
-            for top in itertools.product(pool, repeat=deg):
-                if max(_frac_height(c) for c in top) != height:
-                    continue
+            for top in height_tuples(deg, height):
                 pi = Poly(QQ, list(reversed(top)) + [Fraction(1)], "X")
                 fac = factor_q(pi)
                 if len(fac.factors) == 1 and fac.factors[0][1] == 1:
@@ -156,6 +167,26 @@ def number_field_roots(L, g, max_shift=16):
     return sorted(roots, key=L.sort_key)
 
 
+def residue_roots(R, g, seed=0):
+    """All roots in a residue field R of a monic squarefree g over R, sorted.
+
+    R is finite (factorization over F_q) or a number field (Trager norms).
+    """
+    if R.order() is not None:
+        return fq_roots(g, seed=seed)
+    return number_field_roots(R, g)
+
+
+def residue_sqrt(R, c):
+    """The canonically smaller square root of c in a residue field R, or None."""
+    if R.order() is not None:
+        return field_sqrt(R, c)
+    if not c:
+        return c
+    roots = residue_roots(R, Poly(R, [-c, R.zero(), R.one()], "T"))
+    return roots[0] if roots else None
+
+
 def residue_is_nonreal(base_place):
     """(nonreal, sqrt_minus_one or None) for the residue field.
 
@@ -164,12 +195,8 @@ def residue_is_nonreal(base_place):
     exists, is the canonically smaller of the two.
     """
     R = base_place.residue_field()
-    if R.order() is not None:
-        return True, field_sqrt(R, -R.one())
-    nonreal = sturm_isolate(base_place.uniformizer).count == 0
-    tsq = Poly(R, [R.one(), R.zero(), R.one()], "T")
-    rts = number_field_roots(R, tsq)
-    return nonreal, (rts[0] if rts else None)
+    nonreal = R.order() is not None or sturm_isolate(base_place.uniformizer).count == 0
+    return nonreal, residue_sqrt(R, -R.one())
 
 
 def analyze_place(field, base_place, seed=0):
@@ -186,15 +213,11 @@ def analyze_place(field, base_place, seed=0):
         tbar = Poly.gen(R, fbar.var)
         if poly_pow_mod(tbar, R.order(), fbar) != tbar % fbar:
             return None
-        roots = fq_roots(fbar, seed=seed)
-    else:
-        roots = number_field_roots(R, fbar)
+    roots = residue_roots(R, fbar, seed)
     if len(roots) != field.deg:
         return None
     nonreal, sqrtm1 = residue_is_nonreal(base_place)
-    return SplitPlaceRecord(
-        field, base_place, tuple(sorted(roots, key=R.sort_key)), nonreal, sqrtm1
-    )
+    return SplitPlaceRecord(field, base_place, tuple(roots), nonreal, sqrtm1)
 
 
 def find_split_places(

@@ -18,10 +18,11 @@ from .errors import (
     RepresentationNotFoundError,
     SosfieldError,
 )
-from .fields import QQ, field_sqrt
+from .fields import QQ
 from .local import check_places, ext_valuation, valuation_vector, weak_approx
+from .numtheory import legendre
 from .poly import Poly
-from .split import number_field_roots, residue_is_nonreal, verify_split_place
+from .split import height_tuples, residue_is_nonreal, residue_sqrt, verify_split_place
 
 
 class SosExpr:
@@ -81,74 +82,47 @@ class SosExpr:
         return f"SosExpr({len(self.terms)} terms, value={self.value!r})"
 
 
-def _minus_one_squares_finite(R):
-    """-1 as a list of squared elements of a finite residue field.
-
-    One square when -1 is itself a square; otherwise the quadratic-residue
-    walk over a in canonical order finds -1 - a^2 a square, giving two.
-    """
-    m1 = -R.one()
-    s = field_sqrt(R, m1)
-    if s is not None:
-        return [s]
-    for a in R.elements():
-        if not a:
-            continue
-        b = field_sqrt(R, m1 - a * a)
-        if b is not None:
-            return [a, b]
-    raise SosfieldError("finite field without -1 as a sum of two squares")
-
-
 def _elements_by_height(L, height):
     """Nonzero elements of L = Q[x]/(pi), ascending coordinate height."""
-    from .split import _frac_height, _rational_coeff_pool
-
     for h in range(1, height + 1):
-        pool = _rational_coeff_pool(h)
-        for top in itertools.product(pool, repeat=L.deg):
-            if max(_frac_height(c) for c in top) != h:
-                continue
+        for top in height_tuples(L.deg, h):
             e = L.coerce(Poly(QQ, list(reversed(top)), L.var))
             if e:
                 yield e
 
 
-def _minus_one_squares_number_field(L, height=10, max_candidates=4000):
-    """-1 as a list of <= 4 squared elements of a nonreal number field L.
+def _minus_one_squares(R, sqrt_minus_one, height=10, max_candidates=4000):
+    """-1 as a list of squared elements of a nonreal residue field R.
 
-    s = 1 is decided exactly (root of T^2 + 1); longer representations are
-    searched by ascending coordinate height with an explicit cutoff.
+    One square when R has the square root of -1 passed in.  Otherwise a finite
+    R has order p^d with p = 3 mod 4 and d odd, so a constant of F_p is a
+    square in R exactly when it is one mod p, and the least a >= 1 with
+    -1 - a^2 a square mod p gives two squares.  A number field is searched
+    by ascending coordinate height with an explicit cutoff, for <= 3 squares.
     """
-    tsq = Poly(L, [L.one(), L.zero(), L.one()], "T")
-    rts = number_field_roots(L, tsq)
-    if rts:
-        return [rts[0]]
-    m1 = -L.one()
-
-    def square_root_of(c):
-        if c == L.zero():
-            return L.zero()
-        g = Poly(L, [-c, L.zero(), L.one()], "T")
-        r = number_field_roots(L, g)
-        return r[0] if r else None
-
+    if sqrt_minus_one is not None:
+        return [sqrt_minus_one]
+    m1 = -R.one()
+    if R.order() is not None:
+        p = R.char
+        a = R.from_int(next(a for a in range(1, p) if legendre(-1 - a * a, p) == 1))
+        return [a, residue_sqrt(R, m1 - a * a)]
     seen = 0
-    for a in _elements_by_height(L, height):
+    for a in _elements_by_height(R, height):
         seen += 1
         if seen > max_candidates:
             break
-        b = square_root_of(m1 - a * a)
-        if b is not None and b != L.zero():
+        b = residue_sqrt(R, m1 - a * a)
+        if b:
             return [a, b]
     seen = 0
-    shallow = list(itertools.islice(_elements_by_height(L, min(height, 3)), 80))
+    shallow = list(itertools.islice(_elements_by_height(R, min(height, 3)), 80))
     for a, b in itertools.combinations_with_replacement(shallow, 2):
         seen += 1
         if seen > max_candidates:
             break
-        c = square_root_of(m1 - a * a - b * b)
-        if c is not None and c != L.zero():
+        c = residue_sqrt(R, m1 - a * a - b * b)
+        if c:
             return [a, b, c]
     raise RepresentationNotFoundError(
         f"-1 not expressed as a sum of squares within coordinate height {height}"
@@ -163,14 +137,10 @@ def sos_uniformizer(place, height=10):
     by the uniformizer, and if the valuation still exceeds 1 the leading 1 is
     replaced by (1 + pi).
     """
-    nonreal, _ = residue_is_nonreal(place)
+    nonreal, sqrt_minus_one = residue_is_nonreal(place)
     if not nonreal:
         raise DegenerateInputError("residue field is formally real")
-    R = place.residue_field()
-    if R.order() is not None:
-        residue_terms = _minus_one_squares_finite(R)
-    else:
-        residue_terms = _minus_one_squares_number_field(R, height)
+    residue_terms = _minus_one_squares(place.residue_field(), sqrt_minus_one, height)
     base = place.base
     E = base.fraction_field()
     pi = base.from_ring(place.uniformizer)

@@ -185,8 +185,13 @@ def test_dyadic_check_cli(capsys, tmp_path):
 
 
 def test_parse_errors_exit_2(capsys):
-    code, _, err = run(capsys, "witness", "--base", "Q", "--f", "T^2 -")
-    assert code == 2
+    for argv in (
+        ["witness", "--base", "Q", "--f", "T^2 -"],
+        ["witness", "--base", "Fq:7", "--f", "T^3-X", "--place", "X +"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "unexpected end of input" in err
     code, _, err = run(capsys, "witness", "--base", "Z9", "--f", "T^2-2")
     assert code == 2
     code, _, err = run(capsys, "witness", "--base", "Q", "--f", "T^2-4")
@@ -264,18 +269,39 @@ def test_version_flag(capsys):
 
 
 def test_malformed_fq_label_exits_2(capsys, tmp_path):
-    for label in ("Fq:abc", "Fq:"):
+    for label in ("Fq:abc", "Fq:", "Fq: 7", "Fq:07", "Fq:0_7", "Fq:7_0"):
         code, _, err = run(capsys, "witness", "--base", label, "--f", "T^2-X")
         assert code == 2
         assert f"unknown base label {label!r}" in err
+    code, _, err = run(capsys, "witness", "--base", "Fq:" + "7" * 5000, "--f", "T^2-X")
+    assert code == 2 and len(err) < 100
     path = tmp_path / "w.json"
     run(capsys, "witness", "--base", "Q", "--f", "T^2-2", "--out", str(path))
     doc = json.loads(path.read_text())
-    doc["payload"]["field"]["base"] = "Fq:zz"
+    for base in ("Fq:zz", "Fq:07"):
+        doc["payload"]["field"]["base"] = base
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert f"unknown base {base!r}" in err
+    doc["payload"]["field"]["base"] = "Fq:" + "7" * 5000
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "verify", str(path))
-    assert code == 2
-    assert "unknown base 'Fq:zz'" in err
+    assert code == 2 and len(err) < 100
+
+
+def test_witness_large_prime_fields(capsys, tmp_path):
+    # no step lists the q elements of F_q, so q = 2^61 - 1 runs like a small q
+    path = tmp_path / "w.json"
+    for f in ("T^2-X", "T^3-X^2-1"):
+        argv = ["witness", "--base", f"Fq:{2**61 - 1}", "--f", f, "--out", str(path)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0 and out == "valid witness certificate (ok)\n"
+    code, out, _ = run(capsys, "witness", "--base", "Fq:1000003", "--f", "T^2-X")
+    assert code == 0
+    assert out.startswith("place X + 2: roots [410588, 589415], nonreal=True")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from sosfield.errors import DegenerateInputError, ZeroDivisorError
 from sosfield.extension import (
     ExtField,
     GlobalBase,
+    QuotElem,
     QuotientRing,
     field_norm,
     verify_irreducible,
@@ -38,6 +40,13 @@ def test_global_base_labels():
     assert GlobalBase.from_label("Fq:5").label == "Fq:5"
     with pytest.raises(DegenerateInputError):
         GlobalBase.from_label("R")
+    # only the canonical digits str(q) name F_q
+    for label in ("Fq: 7", "Fq:07", "Fq:0_7", "Fq:7_0", "Fq:+7", "Fq:7 ", "Fq:\u0667"):
+        with pytest.raises(DegenerateInputError, match="unknown base label"):
+            GlobalBase.from_label(label)
+    with pytest.raises(DegenerateInputError) as ei:
+        GlobalBase.from_label("Fq:" + "7" * 5000)
+    assert len(str(ei.value)) < 100
 
 
 def test_base_ring_predicates():
@@ -164,7 +173,7 @@ def test_finite_quotient_enumeration():
     F5 = FqField(5)
     m = Poly(F5, [F5.coerce(2), F5.zero(), F5.one()], "v")  # v^2 + 2, irreducible
     R = QuotientRing(F5, m)
-    elems = list(R.elements())
+    elems = [QuotElem(R, cs) for cs in itertools.product(range(5), repeat=2)]
     assert len(elems) == 25 == R.order()
     assert len(set(elems)) == 25
     assert elems[0] == R.zero()

@@ -1,10 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from sosfield.errors import DegenerateInputError
+from sosfield.extension import QuotElem, QuotientRing
+from sosfield.factor import is_irreducible_fq
 from sosfield.fields import QQ, FqField, field_sqrt, rat_is_square, rat_sqrt
+from sosfield.poly import Poly
 
 
 def test_qq_coercion_and_order():
@@ -53,12 +57,6 @@ def test_fq_division_by_zero():
         F.one() / F.zero()
 
 
-def test_fq_elements_enumeration():
-    F = FqField(7)
-    assert [e.val for e in F.elements()] == list(range(7))
-    assert F.order() == 7
-
-
 def test_field_sqrt_exhaustive_small():
     # 577 - 1 = 2^6 * 9 runs the Tonelli-Shanks loop several times
     for p in (3, 5, 7, 11, 13, 17, 101, 577):
@@ -73,6 +71,23 @@ def test_field_sqrt_exhaustive_small():
                 assert F.sort_key(r) <= F.sort_key(other)
             else:
                 assert r is None
+
+
+@pytest.mark.parametrize("p, modulus", [(3, [1, 0, 1]), (5, [2, 0, 1]), (7, [-2, 0, 0, 1])])
+def test_field_sqrt_extension_fields(p, modulus):
+    # F_9 and F_25: every F_p constant is a square, so the nonresidue drawn
+    # for Tonelli-Shanks is not a constant; F_343 takes the q = 3 mod 4 path
+    F = FqField(p)
+    m = Poly(F, [F.from_int(c) for c in modulus], "v")
+    assert is_irreducible_fq(m)
+    R = QuotientRing(F, m)
+    elems = [QuotElem(R, cs) for cs in itertools.product(range(p), repeat=m.degree())]
+    roots = {}
+    for x in elems:
+        roots.setdefault(x * x, []).append(x)
+    for a in elems:
+        want = min(roots[a], key=R.sort_key) if a in roots else None
+        assert field_sqrt(R, a) == want
 
 
 def test_field_sqrt_random_large_prime():

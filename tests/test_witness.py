@@ -1,17 +1,19 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from sosfield.errors import DegenerateInputError
-from sosfield.extension import ExtField, GlobalBase
-from sosfield.fields import QQ, FqField
+from sosfield.extension import ExtField, GlobalBase, QuotElem, QuotientRing
+from sosfield.fields import QQ, FqField, field_sqrt
 from sosfield.local import BasePlace, valuation_vector
 from sosfield.poly import Poly
 from sosfield.split import analyze_place, find_split_places
 from sosfield.witness import (
     SosExpr,
+    _minus_one_squares,
     nonpyth_witness,
     sos_uniformizer,
     tau_hit,
@@ -102,6 +104,30 @@ def test_sos_uniformizer_frozen_qx():
     assert [str(t.num) for t in e.terms] == ["1", "-X"]
     assert str(e.value.num) == "X^2 + 1"
     assert bp.valuation(e.value) == 1
+
+
+@pytest.mark.parametrize(
+    "p, modulus", [(3, None), (7, None), (11, None), (3, [1, 2, 0, 1]), (7, [-2, 0, 0, 1])]
+)
+def test_minus_one_squares_matches_element_walk(p, modulus):
+    # F_3, F_7, F_11, F_27, F_343: no square root of -1, so the closed form
+    # must give the terms of the walk over all elements, constants first
+    F = FqField(p)
+    if modulus is None:
+        R, elems = F, [F.from_int(a) for a in range(p)]
+    else:
+        R = QuotientRing(F, Poly(F, [F.from_int(c) for c in modulus], "x"))
+        tuples = itertools.product(range(p), repeat=R.deg)
+        elems = [QuotElem(R, t[::-1]) for t in tuples]
+    m1 = -R.one()
+    assert field_sqrt(R, m1) is None
+    walk = None
+    for a in elems:
+        b = field_sqrt(R, m1 - a * a) if a else None
+        if b is not None:
+            walk = [a, b]
+            break
+    assert _minus_one_squares(R, None) == walk
 
 
 def test_sos_uniformizer_rejects_real_residue():
