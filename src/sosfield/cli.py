@@ -1,12 +1,15 @@
 """Command-line front end: every pipeline behind one reproducible binary.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input, 3
-mathematical failure (search budget exhausted, undecided).  Output for a
-fixed (argv, seed) is byte-identical across runs.
+mathematical failure (search budget exhausted, undecided), 120 standard
+output closed before all output was written (e.g. `| head -1`), Python's own
+code for a failed final flush.  Output for a fixed (argv, seed) is
+byte-identical across runs.
 """
 
 import argparse
 import functools
+import os
 import sys
 
 from .certs import (
@@ -302,8 +305,7 @@ def _build_parser():
     return ap
 
 
-def main(argv=None):
-    args = _build_parser().parse_args(argv)
+def _run(args):
     try:
         return args.func(args)
     except (ParseError, DegenerateInputError) as e:
@@ -312,6 +314,21 @@ def main(argv=None):
     except SosfieldError as e:
         print(f"failure: {e}", file=sys.stderr)
         return 3
+
+
+def main(argv=None):
+    args = _build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; with stdout on devnull the interpreter's
+        # final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 120
+    return code
 
 
 if __name__ == "__main__":

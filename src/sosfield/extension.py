@@ -3,8 +3,10 @@
 A GlobalBase is E = Q (ring Z) or E = k(X) (ring k[X]) with k in {Q, F_q}.
 An extension K = E[T]/(f) is a QuotientRing over the fraction field of the
 base; the same QuotientRing machinery also serves residue fields k[x]/(pi).
-Reducibility of a modulus is detected lazily: inverting a zero divisor raises
-ZeroDivisorError carrying the discovered factor.
+Over k = F_p, QuotElem arithmetic runs on poly.py's int kernel; over Q and
+k(X) it runs on the generic Poly path.  Reducibility of a modulus is detected
+lazily: inverting a zero divisor raises ZeroDivisorError carrying the
+discovered factor.
 """
 
 import math
@@ -12,8 +14,23 @@ import re
 from fractions import Fraction
 
 from .errors import DegenerateInputError, ZeroDivisorError, clipped
-from .fields import QQ, FqField
-from .poly import Poly, RatFunc, RatFuncField, discriminant, poly_ext_gcd, poly_gcd, resultant
+from .fields import QQ, FqElem, FqField
+from .poly import (
+    Poly,
+    RatFunc,
+    RatFuncField,
+    _ints,
+    _kr_inverse,
+    _zl_add,
+    _zl_mul,
+    _zl_pow_mod,
+    _zl_rem,
+    _zl_sub,
+    discriminant,
+    poly_ext_gcd,
+    poly_gcd,
+    resultant,
+)
 
 
 class GlobalBase:
@@ -121,9 +138,12 @@ class QuotElem:
         """The canonical representative polynomial, degree < deg m."""
         return Poly(self.ring.F, self.coords, self.ring.var)
 
+    def _ints(self):
+        return [c.val for c in self.coords]
+
     def _wrap(self, other):
         if isinstance(other, QuotElem):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise DegenerateInputError("mixed quotient rings")
             return other
         c = self.ring.coerce(other)
@@ -133,7 +153,10 @@ class QuotElem:
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuotElem(self.ring, [a + b for a, b in zip(self.coords, other.coords)])
+        R = self.ring
+        if R._pi is not None:
+            return R._from_ints(_zl_add(self._ints(), other._ints(), R.F.q))
+        return QuotElem(R, [a + b for a, b in zip(self.coords, other.coords)])
 
     __radd__ = __add__
 
@@ -141,25 +164,38 @@ class QuotElem:
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuotElem(self.ring, [a - b for a, b in zip(self.coords, other.coords)])
+        R = self.ring
+        if R._pi is not None:
+            return R._from_ints(_zl_sub(self._ints(), other._ints(), R.F.q))
+        return QuotElem(R, [a - b for a, b in zip(self.coords, other.coords)])
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        return QuotElem(self.ring, [-a for a in self.coords])
+        R = self.ring
+        if R._pi is not None:
+            return R._from_ints(_zl_sub([], self._ints(), R.F.q))
+        return QuotElem(R, [-a for a in self.coords])
 
     def __mul__(self, other):
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.ring.from_poly(self.rep() * other.rep())
+        R = self.ring
+        if R._pi is not None:
+            M = R.F.q
+            return R._from_ints(_zl_rem(_zl_mul(self._ints(), other._ints(), M), R._pi, M))
+        return R.from_poly(self.rep() * other.rep())
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not any(self.coords):
             raise ZeroDivisionError("inverting zero in quotient ring")
+        R = self.ring
+        if R._pi is not None:
+            return R._from_ints(_kr_inverse(self._ints(), R))
         g, s, _ = poly_ext_gcd(self.rep(), self.ring.modulus)
         if g.degree() > 0:
             raise ZeroDivisorError(
@@ -182,6 +218,9 @@ class QuotElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
+        R = self.ring
+        if R._pi is not None:
+            return R._from_ints(_zl_pow_mod(self._ints(), n, R._pi, R.F.q))
         result, base = self.ring.one(), self
         while n:
             if n & 1:
@@ -191,8 +230,10 @@ class QuotElem:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, QuotElem) and other.ring != self.ring:
-            return False
+        if isinstance(other, QuotElem):
+            if other.ring is not self.ring and other.ring != self.ring:
+                return False
+            return self.coords == other.coords
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
@@ -209,7 +250,11 @@ class QuotElem:
 
 
 class QuotientRing:
-    """F[v]/(m) for a monic modulus m of degree >= 1; a field when m is irreducible."""
+    """F[v]/(m) for a monic modulus m of degree >= 1; a field when m is irreducible.
+
+    Over F = F_p the arithmetic runs on poly.py's int kernel: _pi is m as an
+    int list (None over other F), and _from_ints builds elements from it.
+    """
 
     def __init__(self, F, modulus):
         if modulus.degree() < 1:
@@ -220,6 +265,19 @@ class QuotientRing:
         self.modulus = modulus
         self.var = modulus.var
         self.deg = modulus.degree()
+        self._pi = None
+        if type(F) is FqField:
+            self._pi = [c.val for c in modulus.coeffs]
+            # _pad[k] fills a k-entry coordinate list up to deg entries
+            self._pad = tuple((F.zero(),) * (self.deg - k) for k in range(self.deg + 1))
+
+    def _from_ints(self, ints):
+        """Element from at most deg ints in [0, p), skipping coerce (kernel rings only)."""
+        e = QuotElem.__new__(QuotElem)
+        q = self.F.q
+        e.ring = self
+        e.coords = tuple([FqElem(v, q) for v in ints]) + self._pad[len(ints)]
+        return e
 
     @property
     def char(self):
@@ -242,6 +300,8 @@ class QuotientRing:
     def from_poly(self, p):
         if p.field != self.F or p.var != self.var:
             raise DegenerateInputError("polynomial from wrong domain")
+        if self._pi is not None:
+            return self._from_ints(_zl_rem(_ints(p), self._pi, self.F.q))
         return QuotElem(self, (p % self.modulus).coeffs)
 
     def coerce(self, x):
@@ -267,7 +327,7 @@ class QuotientRing:
         return QuotElem(self, [self.F.rand(rng) for _ in range(self.deg)])
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, QuotientRing)
             and other.F == self.F
             and other.modulus.coeffs == self.modulus.coeffs

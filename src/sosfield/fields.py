@@ -15,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, clipped
 from .numtheory import is_prime, is_square_int
 
 
@@ -156,7 +156,7 @@ class FqField:
 
     def __init__(self, q):
         if q == 2 or not is_prime(q):
-            raise DegenerateInputError(f"q = {q} must be an odd prime")
+            raise DegenerateInputError(f"q = {clipped(str(q))} must be an odd prime")
         self.q = q
         self.char = q
 

@@ -15,7 +15,7 @@ from .errors import (
 )
 from .extension import QuotientRing
 from .factor import factor_q, is_irreducible_fq
-from .fields import QQ, FqField
+from .fields import QQ, FqElem, FqField
 from .numtheory import is_prime
 from .poly import Poly, poly_ext_gcd
 
@@ -109,13 +109,15 @@ class BasePlace:
     def reduce(self, e):
         """Image of an integral base field element in the residue field."""
         if self.base.kind == "Q":
-            num, den = e.numerator, e.denominator
-        else:
-            num, den = e.num, e.den
-        dbar = self.reduce_ring(den)
+            p = self.uniformizer
+            den = e.denominator % p
+            if not den:
+                raise DegenerateInputError("element is not integral at this place")
+            return FqElem(e.numerator * pow(den, -1, p), p)
+        dbar = self.reduce_ring(e.den)
         if not dbar:
             raise DegenerateInputError("element is not integral at this place")
-        return self.reduce_ring(num) / dbar
+        return self.reduce_ring(e.num) / dbar
 
     def lift_residue(self, c):
         """Canonical ring representative of a residue class."""

@@ -7,11 +7,16 @@ so the same code serves Q[T], F_q[X], Q(X)[T] and F_q(X)[T].
 Over a prime field F_q the arithmetic runs on plain int lists, through the
 (Z/M)[X] kernel below with M = q; factor.py's Hensel lifting uses the same
 kernel with M = p^k. Poly.coeffs stays a tuple of FqElem either way.
+
+Over a residue field F_p[x]/(pi) (an extension.QuotientRing over an
+FqField) the same kernel serves by Kronecker substitution: the residues of a
+Poly are packed into one F_p[Y] list, so a product in (F_p[x]/(pi))[T] is
+one kernel product.  Poly.coeffs stays a tuple of QuotElem.
 """
 
 from fractions import Fraction
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, ZeroDivisorError
 from .fields import FqElem, FqField
 
 # ---------------------------------------------------------------------------
@@ -106,8 +111,154 @@ def _zl_ext_gcd(a, b, M):
     return _zl_scale(r0, inv, M), _zl_scale(s0, inv, M), _zl_scale(t0, inv, M)
 
 
+def _zl_rem(a, m, M):
+    """a mod the monic m over Z/M."""
+    dm = len(m) - 1
+    r = list(a)
+    for k in range(len(r) - 1 - dm, -1, -1):
+        t = r[k + dm] % M
+        if t:
+            r[k : k + dm] = [x - t * y for x, y in zip(r[k : k + dm], m)]
+    return _zl_trim([c % M for c in r[:dm]])
+
+
 def _ints(p):
     return [c.val for c in p.coeffs]
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution for (F_p[x]/(pi))[T], pi monic of degree d, on the
+# kernel above (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).  A
+# residue is its coordinate list in F_p, of degree < d.  A polynomial over
+# the residue ring is packed into one F_p[Y] list, residue i at offset i*s
+# with stride s = 2d - 1, so that one _zl_mul forms every product of two
+# residues without overlap.  A packed list is reduced when each stride chunk
+# is a reduced residue; the functions below take and return reduced lists.
+# R is a QuotientRing over an FqField: R._pi is pi as ints.
+
+
+def _kr_stride(R):
+    return 2 * R.deg - 1
+
+
+def _kr_pack(p):
+    """The Poly p over R as a reduced packed list."""
+    coeffs, d = p.coeffs, p.field.deg
+    if d == 1:
+        return [c.coords[0].val for c in coeffs]
+    pad = [0] * (d - 1)
+    out = []
+    for c in coeffs:
+        out += [x.val for x in c.coords]
+        out += pad
+    return _zl_trim(out)
+
+
+def _kr_reduce(P, R):
+    """Reduce each chunk of P (chunks of degree < s, any ints) mod pi and p."""
+    M, pi = R.F.q, R._pi
+    if R.deg == 1:
+        return _zl_trim([c % M for c in P])
+    s = _kr_stride(R)
+    out = []
+    for i in range(0, len(P), s):
+        c = _zl_rem(P[i : i + s], pi, M)
+        out += c
+        out += [0] * (s - len(c))
+    return _zl_trim(out)
+
+
+def _kr_inverse(c, R):
+    """Inverse of the nonzero residue c; ZeroDivisorError when pi is reducible."""
+    g, s, _ = _zl_ext_gcd(c, R._pi, R.F.q)
+    if len(g) > 1:
+        g = Poly._from_ints(R.F, g, R.var)
+        raise ZeroDivisorError(f"zero divisor: modulus has factor {g!r}", factor=g)
+    return s
+
+
+def _kr_mul(A, B, R):
+    return _kr_reduce(_zl_mul(A, B, R.F.q), R)
+
+
+def _kr_lc(A, R):
+    s = _kr_stride(R)
+    return A[(len(A) - 1) // s * s :]
+
+
+def _kr_monic(A, R):
+    lc = _kr_lc(A, R)
+    return A if not A or lc == [1] else _kr_mul(_kr_inverse(lc, R), A, R)
+
+
+def _kr_divmod(A, B, R):
+    """Quotient and remainder of A by a nonzero reduced B.
+
+    The chunks of A need only have degree < s (an unreduced product is fine).
+    lc(B) is inverted first, as in the generic division.
+    """
+    M, pi, s = R.F.q, R._pi, _kr_stride(R)
+    if s == 1:
+        # pi is linear: the residue ring is F_p and A, B are F_p[T] lists
+        return _zl_divmod(A, B, M)
+    nb = (len(B) - 1) // s
+    lc = _kr_lc(B, R)
+    inv = None if lc == [1] else _kr_inverse(lc, R)
+    na = (len(A) - 1) // s
+    if na < nb:
+        return [], _kr_reduce(A, R)
+    low, r = B[: nb * s], list(A)
+    q = [0] * ((na - nb + 1) * s)
+    for k in range(na - nb, -1, -1):
+        top = (k + nb) * s
+        t = _zl_rem(r[top : top + s], pi, M)
+        if not t:
+            continue
+        if inv is not None:
+            t = _zl_rem(_zl_mul(t, inv, M), pi, M)
+        off = k * s
+        q[off : off + len(t)] = t
+        # each chunk of t * low has degree <= 2d - 2 < s; chunk k + nb is not read again
+        tb = _zl_mul(t, low, M)
+        r[off : off + len(tb)] = [x - y for x, y in zip(r[off : off + len(tb)], tb)]
+    return _zl_trim(q), _kr_reduce(r[: nb * s], R)
+
+
+def _kr_pow_mod(A, e, m, R):
+    """A**e mod a nonzero m; 1 for e = 0, as in the generic poly_pow_mod."""
+    m = _kr_monic(m, R)
+    if not e:
+        return [1]
+    M = R.F.q
+    base = result = _kr_divmod(A, m, R)[1]
+    for bit in bin(e)[3:]:
+        result = _kr_divmod(_zl_mul(result, result, M), m, R)[1]
+        if bit == "1":
+            result = _kr_divmod(_zl_mul(result, base, M), m, R)[1]
+    return result
+
+
+def _kr_gcd(A, B, R):
+    """Monic gcd, as poly_gcd."""
+    while B:
+        A, B = B, _kr_divmod(A, B, R)[1]
+    return _kr_monic(A, R)
+
+
+def _kr_ext_gcd(A, B, R):
+    """(g, s, t) with g monic (or zero) and s*A + t*B = g, as poly_ext_gcd."""
+    M = R.F.q
+    r0, r1, s0, s1, t0, t1 = A, B, [1], [], [], [1]
+    while r1:
+        q, r = _kr_divmod(r0, r1, R)
+        r0, r1 = r1, r
+        s0, s1 = s1, _zl_sub(s0, _kr_mul(q, s1, R), M)
+        t0, t1 = t1, _zl_sub(t0, _kr_mul(q, t1, R), M)
+    lc = _kr_lc(r0, R)
+    if not r0 or lc == [1]:
+        return r0, s0, t0
+    inv = _kr_inverse(lc, R)
+    return tuple(_kr_mul(inv, x, R) for x in (r0, s0, t0))
 
 
 class Poly:
@@ -122,7 +273,7 @@ class Poly:
             if e is None:
                 raise DegenerateInputError(f"cannot coerce {c!r} into {field!r}")
             cs.append(e)
-        while cs and cs[-1] == field.zero():
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -135,6 +286,16 @@ class Poly:
         q = field.q
         p.field = field
         p.coeffs = tuple([FqElem(v, q) for v in ints])
+        p.var = var
+        return p
+
+    @classmethod
+    def _from_packed(cls, R, P, var):
+        """Poly over a kernel residue ring R from a reduced packed list."""
+        p = cls.__new__(cls)
+        d, s = R.deg, _kr_stride(R)
+        p.field = R
+        p.coeffs = tuple([R._from_ints(P[i : i + d]) for i in range(0, len(P), s)])
         p.var = var
         return p
 
@@ -166,7 +327,7 @@ class Poly:
 
     def _wrap(self, other):
         if isinstance(other, Poly):
-            if other.field != self.field or other.var != self.var:
+            if (other.field is not self.field and other.field != self.field) or other.var != self.var:
                 raise DegenerateInputError("mixed polynomial domains")
             return other
         c = self.field.coerce(other)
@@ -209,6 +370,8 @@ class Poly:
         F = self.field
         if type(F) is FqField:
             return Poly._from_ints(F, _zl_mul(_ints(self), _ints(other), F.q), self.var)
+        if _on_kernel(F):
+            return Poly._from_packed(F, _kr_mul(_kr_pack(self), _kr_pack(other), F), self.var)
         if self.is_zero() or other.is_zero():
             return Poly(self.field, [], self.var)
         out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -241,6 +404,9 @@ class Poly:
         if type(F) is FqField:
             q, r = _zl_divmod(_ints(self), _ints(other), F.q)
             return Poly._from_ints(F, q, self.var), Poly._from_ints(F, r, self.var)
+        if _on_kernel(F):
+            q, r = _kr_divmod(_kr_pack(self), _kr_pack(other), F)
+            return Poly._from_packed(F, q, self.var), Poly._from_packed(F, r, self.var)
         q = [self.field.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
         rem = list(self.coeffs)
         d, inv_lc = other.degree(), self.field.one() / other.lc()
@@ -329,20 +495,28 @@ class Poly:
         return render_poly(self)
 
 
-def _fq_modulus(a, b):
-    """The modulus q when a and b are polys over one prime field F_q, else None."""
-    if type(a.field) is not FqField:
+def _on_kernel(F):
+    """Whether F is a residue ring F_p[x]/(pi) whose arithmetic runs on the kernel."""
+    return getattr(F, "_pi", None) is not None
+
+
+def _kernel_field(a, b):
+    """a.field when a and b are polys over one F_q or one kernel residue ring, else None."""
+    F = a.field
+    if type(F) is not FqField and not _on_kernel(F):
         return None
-    if not isinstance(b, Poly) or b.field != a.field or b.var != a.var:
+    if not isinstance(b, Poly) or (b.field is not F and b.field != F) or b.var != a.var:
         raise DegenerateInputError("mixed polynomial domains")
-    return a.field.q
+    return F
 
 
 def poly_gcd(a, b):
     """Monic gcd over a field; gcd(0, 0) = 0."""
-    q = _fq_modulus(a, b)
-    if q is not None:
-        return Poly._from_ints(a.field, _zl_gcd(_ints(a), _ints(b), q), a.var)
+    F = _kernel_field(a, b)
+    if type(F) is FqField:
+        return Poly._from_ints(F, _zl_gcd(_ints(a), _ints(b), F.q), a.var)
+    if F is not None:
+        return Poly._from_packed(F, _kr_gcd(_kr_pack(a), _kr_pack(b), F), a.var)
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
@@ -350,10 +524,13 @@ def poly_gcd(a, b):
 
 def poly_ext_gcd(a, b):
     """Extended gcd: returns (g, s, t) with g monic (or zero) and s*a + t*b = g."""
-    q = _fq_modulus(a, b)
-    if q is not None:
-        g, s, t = _zl_ext_gcd(_ints(a), _ints(b), q)
-        return tuple([Poly._from_ints(a.field, c, a.var) for c in (g, s, t)])
+    F = _kernel_field(a, b)
+    if type(F) is FqField:
+        g, s, t = _zl_ext_gcd(_ints(a), _ints(b), F.q)
+        return tuple([Poly._from_ints(F, c, a.var) for c in (g, s, t)])
+    if F is not None:
+        g, s, t = _kr_ext_gcd(_kr_pack(a), _kr_pack(b), F)
+        return tuple([Poly._from_packed(F, c, a.var) for c in (g, s, t)])
     F, var = a.field, a.var
     one, zero = Poly(F, [F.one()], var), Poly(F, [], var)
     r0, r1, s0, s1, t0, t1 = a, b, one, zero, zero, one
@@ -402,11 +579,13 @@ def discriminant(f):
 
 def poly_pow_mod(a, e, m):
     """a**e mod m by square and multiply."""
-    q = _fq_modulus(a, m)
-    if q is not None:
-        if m.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        return Poly._from_ints(a.field, _zl_pow_mod(_ints(a), e, _ints(m), q), a.var)
+    F = _kernel_field(a, m)
+    if F is not None and m.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if type(F) is FqField:
+        return Poly._from_ints(F, _zl_pow_mod(_ints(a), e, _ints(m), F.q), a.var)
+    if F is not None:
+        return Poly._from_packed(F, _kr_pow_mod(_kr_pack(a), e, _kr_pack(m), F), a.var)
     result = Poly(a.field, [a.field.one()], a.var)
     a = a % m
     while e:

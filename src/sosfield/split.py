@@ -282,14 +282,19 @@ def verify_split_place(record):
                 return CheckResult(False, f"{r!r} is not a residue root")
             if dbar(r) == R.zero():
                 return CheckResult(False, f"residue root {r!r} is not simple")
-        nonreal, sqrtm1 = residue_is_nonreal(place)
+        if R.order() is not None:
+            # a finite field of odd order n has a square root of -1 iff n = 1 mod 4
+            nonreal, has_sqrtm1 = True, R.order() % 4 == 1
+        else:
+            nonreal, sqrtm1 = residue_is_nonreal(place)
+            has_sqrtm1 = sqrtm1 is not None
         if record.nonreal != nonreal:
             return CheckResult(False, "nonreal flag is wrong")
         if record.sqrt_minus_one is not None:
             s = R.coerce(record.sqrt_minus_one)
             if s is None or s * s != -R.one():
                 return CheckResult(False, "claimed square root of -1 fails")
-        elif sqrtm1 is not None:
+        elif has_sqrtm1:
             return CheckResult(False, "residue field has a square root of -1")
     except SosfieldError as e:
         return CheckResult(False, str(e))

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -275,6 +279,9 @@ def test_malformed_fq_label_exits_2(capsys, tmp_path):
         assert f"unknown base label {label!r}" in err
     code, _, err = run(capsys, "witness", "--base", "Fq:" + "7" * 5000, "--f", "T^2-X")
     assert code == 2 and len(err) < 100
+    # a canonical label whose q is not prime: FqField clips q in its message
+    code, _, err = run(capsys, "witness", "--base", f"Fq:{10**200 + 1}", "--f", "T^2-X")
+    assert code == 2 and "must be an odd prime" in err and len(err) < 100
     path = tmp_path / "w.json"
     run(capsys, "witness", "--base", "Q", "--f", "T^2-2", "--out", str(path))
     doc = json.loads(path.read_text())
@@ -330,3 +337,65 @@ def test_verify_every_kind(capsys, tmp_path, kind, argv, tamper):
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1 and out.startswith(f"INVALID {kind} certificate")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--base", "Fq:41", "--f", "T^3-(7*X+35)"],
+         "40f6f6fe8554f0d2ffdd983ed60d04788dc12beca5e1180572a98d9dc604ae4b"),
+        (["--base", "Fq:101", "--f", "T^3-X"],
+         "6d3ad59cccf2fc46620f0286192b3ae15c435c6307cf865a69f183226b295211"),
+    ],
+)
+def test_witness_stdout_golden(capsys, argv, digest):
+    # SHA-256 of the stdout of the generic residue-field path, before residue
+    # fields F_q[x]/(pi) moved onto the int kernel
+    code, out, _ = run(capsys, "witness", *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "sqrt_minus_one, reason",
+    [
+        # residue field F_49: 49 = 1 mod 4, so a square root of -1 exists
+        (None, "residue field has a square root of -1"),
+        ("x + 1", "claimed square root of -1 fails"),
+    ],
+)
+def test_verify_rejects_tampered_sqrt_minus_one(capsys, tmp_path, sqrt_minus_one, reason):
+    path = tmp_path / "w.json"
+    code, out, _ = run(
+        capsys, "witness", "--base", "Fq:7", "--f", "T^2-X", "--place", "X^2+1", "--out", str(path)
+    )
+    assert code == 0 and "sqrt(-1)=x\n" in out
+    doc = json.loads(path.read_text())
+    doc["payload"]["place"]["sqrt_minus_one"] = sqrt_minus_one
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1 and out == f"INVALID witness certificate: split record: {reason}\n"
+
+
+def test_closed_stdout_exits_120_without_traceback():
+    # the second line is far longer than a pipe buffer, so the child is still
+    # writing it when the reader closes the pipe after the first line
+    terms = ",".join(["1"] * 10001)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "sosfield.cli", "pyth-chain", "--terms", terms],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert child.stdout.readline() == b"sigma = 10001\n"
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        code = child.wait(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert "Traceback" not in err and err == ""
+    assert code == 120

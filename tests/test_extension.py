@@ -181,3 +181,71 @@ def test_finite_quotient_enumeration():
     for e in elems:
         if e != R.zero():
             assert e * e.inverse() == R.one()
+
+
+# ---------------------------------------------------------------------------
+# QuotElem over F_p runs on the int kernel; the same ring with the kernel
+# route off (_pi = None) runs the generic Poly path, which is the reference.
+
+
+def _kernel_and_generic(p, pi):
+    F = FqField(p)
+    modulus = Poly(F, pi, "x")
+    kernel, generic = QuotientRing(F, modulus), QuotientRing(F, modulus)
+    generic._pi = None
+    return kernel, generic
+
+
+def _irreducible_pi(p, d, rng):
+    from sosfield.factor import is_irreducible_fq
+
+    while True:
+        pi = [rng.randrange(p) for _ in range(d)] + [1]
+        if is_irreducible_fq(Poly(FqField(p), pi, "x")):
+            return pi
+
+
+def test_quot_elem_kernel_matches_generic():
+    from sosfield.fields import FqElem, field_sqrt
+
+    rng = random.Random(12)
+    for p in (3, 7, 101, 10007, 2**61 - 1):
+        for d in (1, 2, 3, 4):
+            R, G = _kernel_and_generic(p, _irreducible_pi(p, d, rng))
+            elems = [R.zero(), R.one(), R.gen()] + [R.rand(rng) for _ in range(5)]
+            for x in elems:
+                gx = QuotElem(G, x.coords)
+                for y in elems[:4] + [R.rand(rng)]:
+                    gy = QuotElem(G, y.coords)
+                    assert x * y == gx * gy and x + y == gx + gy and x - y == gx - gy
+                    assert x * 3 == gx * 3 and 2 - x == 2 - gx
+                    if y:
+                        assert x / y == gx / gy
+                for n in (0, 1, 2, 5, rng.randrange(10**4)):
+                    assert x**n == gx**n
+                assert -x == -gx and x == gx and (x == R.zero()) == (not x)
+                if x:
+                    assert x.inverse() == gx.inverse() and x**-3 == gx**-3
+                assert field_sqrt(R, x) == field_sqrt(G, gx)
+                assert field_sqrt(R, x * x) in (x, -x)
+                for r in (x * x, x + R.one(), -x, x**7):
+                    assert r.ring is R and len(r.coords) == d
+                    assert all(type(c) is FqElem and c.q == p for c in r.coords)
+            with pytest.raises(ZeroDivisionError):
+                R.zero().inverse()
+
+
+def test_quot_elem_kernel_zero_divisor_factor():
+    # x^3 - x = x(x - 1)(x + 1) mod 7: x^2 - 1 meets the modulus in x^2 - 1
+    R, G = _kernel_and_generic(7, [0, 6, 0, 1])
+    x = R.gen()
+    for z in (x, x * x - 1, x + 1):
+        with pytest.raises(ZeroDivisorError) as kernel:
+            z.inverse()
+        with pytest.raises(ZeroDivisorError) as generic:
+            QuotElem(G, z.coords).inverse()
+        assert kernel.value.factor == generic.value.factor
+        assert str(kernel.value) == str(generic.value)
+        with pytest.raises(ZeroDivisorError):
+            R.one() / z
+    assert (x + 2).inverse() * (x + 2) == R.one()

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sosfield.errors import DegenerateInputError
-from sosfield.fields import QQ, FqField
+from sosfield.errors import DegenerateInputError, ZeroDivisorError
+from sosfield.fields import QQ, FqElem, FqField
 from sosfield.poly import (
     Poly,
     RatFunc,
@@ -405,3 +405,121 @@ def test_kernel_keeps_domain_checks():
     assert quo * P(F7, [1, 3]) + rem == a and rem.degree() < 1
     # scalars still mix in as constants
     assert a * 3 == P(F7, [3, 6, 2]) and 3 * a == a * 3 and a + 1 == P(F7, [2, 2, 3])
+
+
+# ---------------------------------------------------------------------------
+# Poly over a residue ring F_p[x]/(pi) runs on the kernel by Kronecker
+# substitution; the same ring with the kernel route off (_pi = None) runs the
+# generic QuotElem/Poly path, which is the reference here.
+
+RESIDUE_PS = (3, 7, 101, 10007, 2**61 - 1)
+
+
+def _residue_rings(p, pi):
+    """The kernel ring F_p[x]/(pi) and its twin on the generic path."""
+    from sosfield.extension import QuotientRing
+
+    F = FqField(p)
+    modulus = Poly(F, pi, "x")
+    kernel, generic = QuotientRing(F, modulus), QuotientRing(F, modulus)
+    generic._pi = None
+    assert kernel._pi is not None and kernel == generic
+    return kernel, generic
+
+
+def _irreducible(p, d, rng):
+    from sosfield.factor import is_irreducible_fq
+
+    while True:
+        pi = [rng.randrange(p) for _ in range(d)] + [1]
+        if is_irreducible_fq(Poly(FqField(p), pi, "x")):
+            return pi
+
+
+def _twin(G, a):
+    """The residue-ring element or Poly a over the generic twin G of its ring."""
+    from sosfield.extension import QuotElem
+
+    if isinstance(a, QuotElem):
+        return QuotElem(G, a.coords)
+    return Poly(G, [_twin(G, c) for c in a.coeffs], a.var)
+
+
+def _residue_cases(seed, count):
+    """Seeded (rng, R, G, a, b): T-degree -1 to 8, b nonzero and usually non-monic."""
+    rng = random.Random(seed)
+    for i in range(count):
+        p = RESIDUE_PS[i % len(RESIDUE_PS)]
+        R, G = _residue_rings(p, _irreducible(p, rng.randint(1, 4), rng))
+
+        def rand(lo):
+            return Poly(R, [R.rand(rng) for _ in range(rng.randint(lo, 8) + 1)], "T")
+
+        b = rand(0)
+        while b.is_zero():
+            b = rand(0)
+        yield rng, R, G, rand(-1), b
+
+
+def test_residue_kernel_matches_generic():
+    for rng, R, G, a, b in _residue_cases(11, 40):
+        ga, gb = _twin(G, a), _twin(G, b)
+        assert a * b == ga * gb and a * a == ga * ga
+        assert a + b == ga + gb and a - b == ga - gb and -a == -ga
+        assert divmod(a, b) == divmod(ga, gb)
+        if a:
+            assert divmod(b, a) == divmod(gb, ga)
+        assert poly_gcd(a, b) == poly_gcd(ga, gb)
+        assert poly_ext_gcd(a, b) == poly_ext_gcd(ga, gb)
+        assert poly_ext_gcd(b, a) == poly_ext_gcd(gb, ga)
+        m = b if b.degree() > 0 else b + Poly.gen(R, "T")
+        for e in (0, 1, 2, min(R.F.q, 10007), rng.randrange(10**4)):
+            assert poly_pow_mod(a, e, m) == poly_pow_mod(ga, e, _twin(G, m))
+        x = R.rand(rng)
+        assert a(x) == ga(_twin(G, x)) and b(x) == gb(_twin(G, x))
+        for r in (a * b, *divmod(a, b), *poly_ext_gcd(a, b), poly_pow_mod(a, 5, m)):
+            assert r.field is R and r.var == "T"
+            assert not r.coeffs or r.coeffs[-1]
+            assert all(c.ring is R and len(c.coords) == R.deg for c in r.coeffs)
+            assert all(type(v) is FqElem and v.q == R.F.q for c in r.coeffs for v in c.coords)
+
+
+def test_residue_kernel_zero_operands():
+    R, G = _residue_rings(7, [3, 0, 1])  # x^2 + 3 is irreducible mod 7
+    zero, a = Poly(R, [], "T"), Poly(R, [R.gen(), 2, R.one()], "T")
+    gz, ga = _twin(G, zero), _twin(G, a)
+    assert zero * a == gz * ga == zero and a * zero == zero
+    assert divmod(zero, a) == divmod(gz, ga) == (zero, zero)
+    assert poly_gcd(zero, zero) == zero and poly_gcd(a, zero) == poly_gcd(ga, gz)
+    assert poly_ext_gcd(zero, zero) == poly_ext_gcd(gz, gz)
+    assert poly_ext_gcd(zero, a) == poly_ext_gcd(gz, ga)
+    assert poly_pow_mod(zero, 3, a) == zero and poly_pow_mod(zero, 0, a) == Poly(R, [1], "T")
+    with pytest.raises(ZeroDivisionError):
+        divmod(a, zero)
+    with pytest.raises(ZeroDivisionError):
+        poly_pow_mod(a, 3, zero)
+    with pytest.raises(DegenerateInputError):
+        a * Poly(R, [1], "X")
+
+
+def test_residue_kernel_zero_divisor_factor():
+    # x^2 - 1 = (x - 1)(x + 1) mod 101: a leading coefficient x - 1 is a zero
+    # divisor, and both paths report the same factor of the modulus
+    R, G = _residue_rings(101, [100, 0, 1])
+    lc = R.gen() - 1
+    b = Poly(R, [R.one(), 3, lc], "T")
+    a = Poly(R, [2, R.gen(), 0, 5, R.one()], "T")
+    gb, ga = _twin(G, b), _twin(G, a)
+    for op in (
+        divmod,
+        poly_gcd,
+        poly_ext_gcd,
+        lambda u, v: poly_pow_mod(u, 7, v),
+        lambda u, v: poly_pow_mod(u, 0, v),
+    ):
+        with pytest.raises(ZeroDivisorError) as kernel:
+            op(a, b)
+        with pytest.raises(ZeroDivisorError) as generic:
+            op(ga, gb)
+        assert kernel.value.factor == generic.value.factor == Poly(FqField(101), [100, 1], "x")
+        assert str(kernel.value) == str(generic.value)
