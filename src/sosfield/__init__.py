@@ -79,6 +79,13 @@ from .certs import (
     serialize,
     write_certificate,
 )
-from .parsing import ParseError, parse_in_algebra, parse_rational, render_poly, render_scalar
+from .parsing import (
+    ParseError,
+    parse_fraction,
+    parse_poly,
+    parse_rational,
+    render_poly,
+    render_scalar,
+)
 
 __version__ = "0.1.0"

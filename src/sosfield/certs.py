@@ -13,18 +13,19 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CheckResult, SosfieldError, clipped
-from .extension import ExtField, GlobalBase, QuotientRing
+from .extension import ExtField, GlobalBase
 from .fields import FqField
 from .local import BasePlace, ValuationVector
 from .orderings import RealEmbedding, SignPatternWitness, verify_sign_witness
 from .parsing import (
     ParseError,
-    parse_in_algebra,
+    parse_fraction,
+    parse_poly,
     parse_rational,
     render_poly,
     render_scalar,
 )
-from .poly import Poly
+from .poly import RatFunc
 from .ratlocal import (
     DyadicHenselCertificate,
     PythChain,
@@ -80,11 +81,7 @@ def _field_out(field):
 
 def parse_field(base, text, irreducibility="auto"):
     """K = E[T]/(f) with f parsed from text in T (and X over a function field)."""
-    E = base.fraction_field()
-    consts = {"T": Poly.gen(E, "T")}
-    if base.kind == "FF":
-        consts["X"] = Poly.const(E, E.gen(), "T")
-    f = parse_in_algebra(text, consts, Poly.const(E, E.one(), "T"))
+    f = parse_poly(text, base.fraction_field())
     if f.degree() < 1:
         raise ParseError("defining polynomial must be nonconstant")
     return ExtField(base, f, irreducibility=irreducibility)
@@ -104,8 +101,10 @@ def _field_in(p, where):
         field = parse_field(base, text, irreducibility="asserted")
     except SosfieldError as e:
         raise ParseError(f"{where}: bad modulus: {e}") from None
-    # a false irreducibility claim is a wrong claim (exit 1), not a malformed file
-    return ExtField(base, field.f, irreducibility=mode) if mode == "verified" else field
+    if mode == "verified":
+        # a false irreducibility claim is a wrong claim (exit 1), not a malformed file
+        field.decide_irreducibility(required=True)
+    return field
 
 
 def _elem_out(x):
@@ -115,11 +114,8 @@ def _elem_out(x):
 def _elem_in(text, field, where):
     if not isinstance(text, str):
         raise ParseError(f"{where}: expected element text, got {type(text).__name__}")
-    consts = {"T": field.gen()}
-    if field.base.kind == "FF":
-        consts["X"] = field.from_base(field.F.gen())
     try:
-        return field.coerce(parse_in_algebra(text, consts, field.one()))
+        return field.from_poly(parse_poly(text, field.F))
     except SosfieldError as e:
         raise ParseError(f"{where}: {e}") from None
 
@@ -145,10 +141,10 @@ def _residue_in(v, residue_field, where):
     if not isinstance(v, str):
         raise ParseError(f"{where}: expected residue element text")
     try:
-        return residue_field.coerce(
-            parse_in_algebra(v, {"X": residue_field.gen()}, residue_field.one())
-        )
-    except SosfieldError as e:
+        num, den = parse_fraction(v, residue_field.F, residue_field.var)
+        x = residue_field.from_poly(num)
+        return x if den.degree() == 0 else x / residue_field.from_poly(den)
+    except (ZeroDivisionError, SosfieldError) as e:
         raise ParseError(f"{where}: {e}") from None
 
 
@@ -159,8 +155,7 @@ def parse_place(base, text):
             return BasePlace(base, int(text))
         except ValueError:
             raise ParseError(f"not an integer prime: {text!r}") from None
-    E = base.fraction_field()
-    rf = parse_in_algebra(text, {"X": E.gen()}, E.one())
+    rf = RatFunc(*parse_fraction(text, base.k))
     if not rf.is_poly():
         raise ParseError(f"uniformizer must be a polynomial: {text!r}")
     return BasePlace(base, rf.as_poly())
@@ -437,6 +432,8 @@ def deserialize(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"certificate is not valid JSON: {e}") from None
+    except ValueError as e:  # an integer of more digits than int() converts
+        raise ParseError(f"certificate: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("certificate: top level must be an object")
     version = _need(doc, "format_version", int, "certificate")

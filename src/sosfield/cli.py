@@ -24,7 +24,7 @@ from .certs import (
 from .errors import DegenerateInputError, SosfieldError, UndecidedError
 from .extension import GlobalBase
 from .orderings import indefinite_witness, real_embeddings
-from .parsing import ParseError, parse_in_algebra, parse_rational, render_scalar
+from .parsing import ParseError, parse_poly, parse_rational, render_scalar
 from .ratlocal import (
     dyadic_five_square_check,
     pyth_chain_reduce,
@@ -192,7 +192,7 @@ def _cmd_sign_witness(args):
         raise ParseError(
             f"embedding indices out of range: field has {len(embs)} real embeddings"
         )
-    alpha = field.coerce(parse_in_algebra(args.alpha, {"T": field.gen()}, field.one()))
+    alpha = field.from_poly(parse_poly(args.alpha, field.F))
     w = indefinite_witness(field, alpha, embs[i], embs[j])
     x, y = w.pair
     print(f"alpha = {render_scalar(alpha)}")

@@ -441,18 +441,25 @@ class ExtField(QuotientRing):
         super().__init__(E, f)
         self.base = base
         self.f = f
-        if irreducibility == "asserted":
-            self.irreducibility_status = "asserted"
-        elif irreducibility in ("auto", "verified"):
-            status, factor = verify_irreducible(base, f)
-            if status == "reducible":
-                raise DegenerateInputError(f"{f!r} is reducible: factor {factor!r}")
-            if status == "asserted" and irreducibility == "verified":
-                raise DegenerateInputError(f"cannot verify irreducibility of {f!r}")
-            self.irreducibility_status = status
-        else:
+        if irreducibility not in ("auto", "verified", "asserted"):
             raise DegenerateInputError(f"unknown irreducibility mode {irreducibility!r}")
+        self.irreducibility_status = "asserted"
+        if irreducibility != "asserted":
+            self.decide_irreducibility(required=irreducibility == "verified")
         self.disc = discriminant(f)
+
+    def decide_irreducibility(self, required):
+        """Run verify_irreducible on f and record its status.
+
+        Raises DegenerateInputError when f is reducible, or when it stays
+        undecided and `required` is set.
+        """
+        status, factor = verify_irreducible(self.base, self.f)
+        if status == "reducible":
+            raise DegenerateInputError(f"{self.f!r} is reducible: factor {factor!r}")
+        if status == "asserted" and required:
+            raise DegenerateInputError(f"cannot verify irreducibility of {self.f!r}")
+        self.irreducibility_status = status
 
     def from_base(self, e):
         """Embed a base fraction-field element as a constant."""

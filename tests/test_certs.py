@@ -147,3 +147,86 @@ def test_non_certificate_rejected():
         serialize(42)
     with pytest.raises(ParseError):
         certificate_kind("text")
+
+
+# ---------------------------------------------------------------------------
+# Untrusted input: bounded, and malformed means exit 2 without a traceback
+
+
+def _verify_exit(capsys, tmp_path, doc):
+    from sosfield.cli import main
+
+    path = tmp_path / "cert.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code = main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def _fq_witness_doc():
+    K = _t2_minus_x(7)
+    return json.loads(serialize(nonpyth_witness(K, find_split_places(K).records[0])))
+
+
+def test_huge_modulus_literal_exits_2(capsys):
+    from sosfield.cli import main
+
+    code = main(["witness", "--base", "Q", "--f", "T^2-" + "9" * 5000])
+    err = capsys.readouterr().err
+    assert code == 2 and "digits at position 4" in err
+
+
+def test_huge_json_uniformizer_exits_2(capsys, tmp_path):
+    K = _sqrt2_field()
+    text = serialize(nonpyth_witness(K, find_split_places(K).records[0]))
+    doc = json.loads(text)
+    old = f'"uniformizer": {doc["payload"]["place"]["uniformizer"]}'
+    assert old in text
+    code, err = _verify_exit(capsys, tmp_path, text.replace(old, '"uniformizer": ' + "7" * 5000))
+    assert code == 2 and "certificate: Exceeds the limit" in err
+
+
+def test_huge_sos_term_literal_exits_2(capsys, tmp_path):
+    doc = _fq_witness_doc()
+    doc["payload"]["sos_terms"][0] = "9" * 5000
+    code, err = _verify_exit(capsys, tmp_path, doc)
+    assert code == 2 and "sos_terms[0]: integer literal of more than" in err
+
+
+def test_unbounded_exponents_exit_2(capsys, tmp_path):
+    doc = _fq_witness_doc()
+    doc["payload"]["sos_terms"][1] = "T^99999999"
+    code, err = _verify_exit(capsys, tmp_path, doc)
+    assert code == 2 and "sos_terms[1]: exponent above" in err
+    doc = _fq_witness_doc()
+    doc["payload"]["field"]["modulus"] = "T^99999999 - 2"
+    code, err = _verify_exit(capsys, tmp_path, doc)
+    assert code == 2 and "bad modulus: exponent above" in err
+
+
+def test_reading_a_field_builds_it_once(monkeypatch):
+    import sosfield.certs as certs
+    import sosfield.extension as extension
+
+    doc = _fq_witness_doc()
+    built, decided = [], []
+
+    class Counted(ExtField):
+        def __init__(self, *a, **kw):
+            built.append(a)
+            super().__init__(*a, **kw)
+
+    real = extension.verify_irreducible
+    monkeypatch.setattr(certs, "ExtField", Counted)
+    monkeypatch.setattr(
+        extension, "verify_irreducible", lambda *a: decided.append(a) or real(*a)
+    )
+    assert doc["payload"]["field"]["irreducibility"] == "verified"
+    cert = deserialize(json.dumps(doc))
+    assert (len(built), len(decided)) == (1, 1)
+    assert cert.field.irreducibility_status == "verified"
+    doc["payload"]["field"]["irreducibility"] = "asserted"
+    built.clear(), decided.clear()
+    assert deserialize(json.dumps(doc)).field.irreducibility_status == "asserted"
+    assert (len(built), len(decided)) == (1, 0)

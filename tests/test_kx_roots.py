@@ -23,7 +23,7 @@ from sosfield.extension import (
 )
 from sosfield.factor import _zl_add, _zl_mul, _zl_trim
 from sosfield.fields import QQ, FqField
-from sosfield.parsing import parse_in_algebra
+from sosfield.parsing import parse_poly
 from sosfield.poly import Poly
 from sosfield.split import find_split_places
 from sosfield.witness import nonpyth_witness
@@ -31,9 +31,7 @@ from sosfield.witness import nonpyth_witness
 
 def _parse(label, text):
     base = GlobalBase.from_label(label)
-    E = base.fraction_field()
-    consts = {"T": Poly.gen(E, "T"), "X": Poly.const(E, E.gen(), "T")}
-    return base, parse_in_algebra(text, consts, Poly.const(E, E.one(), "T"))
+    return base, parse_poly(text, base.fraction_field())
 
 
 def _from_x_polys(base, xpolys):
