@@ -66,10 +66,6 @@ class GlobalBase:
             return "QX"
         return f"Fq:{self.k.q}"
 
-    @property
-    def char(self):
-        return 0 if self.kind == "Q" or self.k == QQ else self.k.q
-
     def fraction_field(self):
         return self._frac
 
@@ -441,11 +437,11 @@ class ExtField(QuotientRing):
         super().__init__(E, f)
         self.base = base
         self.f = f
-        if irreducibility not in ("auto", "verified", "asserted"):
+        if irreducibility not in ("auto", "asserted"):
             raise DegenerateInputError(f"unknown irreducibility mode {irreducibility!r}")
         self.irreducibility_status = "asserted"
-        if irreducibility != "asserted":
-            self.decide_irreducibility(required=irreducibility == "verified")
+        if irreducibility == "auto":
+            self.decide_irreducibility(required=False)
         self.disc = discriminant(f)
 
     def decide_irreducibility(self, required):

@@ -1,8 +1,8 @@
 """Polynomial factorization and real root isolation.
 
-Over a finite field: squarefree split, distinct-degree split, then seeded
-Cantor-Zassenhaus equal-degree splitting. Works over any finite field object
-(prime fields and quotient-ring extensions alike).
+Over a finite field: squarefree split, distinct-degree split, then
+Cantor-Zassenhaus equal-degree splitting under a fixed seed. Works over any
+finite field object (prime fields and quotient-ring extensions alike).
 
 Over Q: Yun squarefree decomposition, reduction modulo a good prime,
 multifactor Hensel lifting to a Mignotte-style bound, and subset
@@ -28,6 +28,7 @@ from .poly import (
     _zl_mul,
     _zl_sub,
     _zl_trim,
+    discriminant,
     poly_gcd,
     poly_pow_mod,
 )
@@ -116,8 +117,12 @@ def _equal_degree(f, d, rng):
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
-def factor_fq(f, seed=0):
-    """Full factorization over a finite field; deterministic output order."""
+def factor_fq(f):
+    """Full factorization over a finite field; deterministic output order.
+
+    Cantor-Zassenhaus draws under the fixed seed 0; the factors are sorted,
+    so no seed would change the result, only the running time.
+    """
     if f.is_zero():
         raise DegenerateInputError("cannot factor the zero polynomial")
     if f.field.order() is None:
@@ -125,7 +130,7 @@ def factor_fq(f, seed=0):
     unit = f.lc()
     if f.degree() == 0:
         return Factorization(unit, ())
-    rng = random.Random(seed)
+    rng = random.Random(0)
     factors = []
     for part, mult in _sqf_list_fq(f.monic()):
         for prod, d in _distinct_degree(part):
@@ -153,11 +158,11 @@ def is_irreducible_fq(f):
     return True
 
 
-def fq_roots(f, seed=0):
+def fq_roots(f):
     """Roots of f in its finite coefficient field, canonically sorted."""
     F = f.field
     roots = []
-    for g, _ in factor_fq(f, seed=seed).factors:
+    for g, _ in factor_fq(f).factors:
         if g.degree() == 1:
             roots.append(-g.coeff(0))
     roots.sort(key=F.sort_key)
@@ -262,47 +267,23 @@ def _zx_divides(h, G):
     return [c.numerator for c in q.coeffs]
 
 
-def good_prime(G, skip=0):
-    """Smallest odd prime dividing neither lc nor disc of the integer poly G.
-
-    Accepts a rational Poly or an integer coefficient list.  skip > 0 steps
-    past the first `skip` qualifying primes, for the prime-independence
-    cross-check.
-    """
-    from .poly import discriminant
-
-    if isinstance(G, Poly):
-        den = 1
-        for c in G.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        G = _zx_primitive([int(c * den) for c in G.coeffs])
-    disc = discriminant(Poly(QQ, G, "X"))
-    bad = abs(G[-1]) * abs(disc.numerator)
+def good_prime(G):
+    """Smallest odd prime dividing neither lc nor disc of the integer list G."""
+    bad = abs(G[-1]) * abs(discriminant(Poly(QQ, G, "X")).numerator)
     if bad == 0:
         raise DegenerateInputError("polynomial not squarefree")
     p = 3
-    while True:
-        if is_prime(p) and bad % p != 0:
-            if skip == 0:
-                return p
-            skip -= 1
+    while not (is_prime(p) and bad % p):
         p += 2
+    return p
 
 
-def _zassenhaus(G, prime=None):
+def _zassenhaus(G):
     """Irreducible integer factors of a primitive squarefree G, lc > 0."""
     n = len(G) - 1
     if n == 1:
         return [G]
-    if prime is None:
-        prime = good_prime(G)
-    else:
-        check = Poly(QQ, G, "X")
-        from .poly import discriminant
-
-        bad = abs(G[-1]) * abs(discriminant(check).numerator)
-        if prime == 2 or not is_prime(prime) or bad % prime == 0:
-            raise DegenerateInputError(f"{prime} is not a good prime here")
+    prime = good_prime(G)
     Fp = FqField(prime)
     fbar = Poly(Fp, G, "X").monic()
     modular = [[c.val for c in g.coeffs] for g, _ in factor_fq(fbar).factors]
@@ -338,11 +319,11 @@ def _zassenhaus(G, prime=None):
     return result
 
 
-def factor_q(f, modular_prime=None):
+def factor_q(f):
     """Factor over Q into monic irreducibles with a rational unit.
 
-    modular_prime forces the internal good prime (must qualify); the output is
-    identical for any qualifying prime.
+    Lifting works modulo the prime from good_prime; the factors found do not
+    depend on which good prime that is.
     """
     if f.is_zero():
         raise DegenerateInputError("cannot factor the zero polynomial")
@@ -357,7 +338,7 @@ def factor_q(f, modular_prime=None):
         for c in part.coeffs:
             den = den * c.denominator // math.gcd(den, c.denominator)
         G = _zx_primitive([int(c * den) for c in part.coeffs])
-        for h in _zassenhaus(G, prime=modular_prime):
+        for h in _zassenhaus(G):
             factors.append((Poly(QQ, h, f.var).monic(), mult))
     factors.sort(key=lambda t: t[0].sort_key())
     return Factorization(unit, tuple(factors))

@@ -129,11 +129,6 @@ class BasePlace:
         R = self.residue_field()
         return Poly(R, [self.reduce(c) for c in f.coeffs], f.var)
 
-    def sort_key(self):
-        if self.base.kind == "Q":
-            return (0, self.uniformizer)
-        return self.uniformizer.sort_key()
-
     def __eq__(self, other):
         return (
             isinstance(other, BasePlace)
@@ -227,9 +222,6 @@ class ExtPlace:
             )
         return self._cache.truncate(precision)
 
-    def sort_key(self):
-        return self.base_place.residue_field().sort_key(self.residue_root)
-
     def __eq__(self, other):
         return (
             isinstance(other, ExtPlace)
@@ -245,12 +237,12 @@ class ExtPlace:
         return f"ExtPlace({self.base_place!r}, root={self.residue_root!r})"
 
 
-def ext_valuation(place, x, ceiling=PRECISION_CEILING):
+def ext_valuation(place, x):
     """Exact valuation of a nonzero extension element at a split place.
 
     Clears denominators, evaluates the numerator polynomial at the lifted
     root modulo pi**N, and reads the valuation; N doubles until the value is
-    certified below the working precision.
+    certified below the working precision, up to PRECISION_CEILING.
     """
     field = place.field
     x = field.coerce(x)
@@ -265,7 +257,6 @@ def ext_valuation(place, x, ceiling=PRECISION_CEILING):
     n = PRECISION_START
     if place._cache is not None:
         n = max(n, place._cache.precision)
-    n = min(n, ceiling)
     while True:
         root = place.lift(n).value
         m = bp.uniformizer_power(n)
@@ -274,11 +265,11 @@ def ext_valuation(place, x, ceiling=PRECISION_CEILING):
             v = bp.ring_valuation(val)
             if v < n:
                 return v - vden
-        if n >= ceiling:
+        if n >= PRECISION_CEILING:
             raise PrecisionExhaustedError(
                 f"valuation at least {n} exceeds the precision ceiling"
             )
-        n = min(2 * n, ceiling)
+        n = min(2 * n, PRECISION_CEILING)
 
 
 @dataclass(frozen=True)
@@ -295,10 +286,8 @@ class ValuationVector:
         return len(set(self.parity())) <= 1
 
 
-def valuation_vector(places, x, ceiling=PRECISION_CEILING):
-    return ValuationVector(
-        tuple(places), tuple(ext_valuation(w, x, ceiling) for w in places)
-    )
+def valuation_vector(places, x):
+    return ValuationVector(tuple(places), tuple(ext_valuation(w, x) for w in places))
 
 
 def _uniformizer_in_field(field, base_place):
@@ -350,7 +339,7 @@ def approx_idempotents(places, precision):
     return out
 
 
-def weak_approx(places, targets, precision=None):
+def weak_approx(places, targets):
     """Element z of the extension with ext_valuation(places[i], z) == targets[i].
 
     Built from approximate idempotents; the result is verified at every place
@@ -366,9 +355,7 @@ def weak_approx(places, targets, precision=None):
         z = pi_e ** targets[0]
     else:
         spread = max(targets) - min(targets)
-        if precision is None:
-            precision = max(PRECISION_START, spread + 2)
-        idems = approx_idempotents(places, precision)
+        idems = approx_idempotents(places, max(PRECISION_START, spread + 2))
         z = field.zero()
         for t, e in zip(targets, idems):
             z = z + pi_e**t * e

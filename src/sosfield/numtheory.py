@@ -178,10 +178,11 @@ def _block_product(block):
 def factor_int(n, trial_bound=10**6, rho_rounds=64, seed=0):
     """Factor a positive integer, returning ({prime: exponent}, complete).
 
-    Trial division up to trial_bound, then Pollard rho with a bounded number
-    of split attempts. If the budget runs out, the unfactored composite part
-    is included with exponent tagged via the second return value False and the
-    leftover stored under its own key; callers must check `complete`.
+    Trial division up to trial_bound, then at most rho_rounds Pollard rho
+    attempts in all, failed ones included: a cofactor an attempt does not
+    split is tried again while attempts remain. If they run out, the
+    unfactored composite part is stored under its own key and the second
+    return value is False; callers must check `complete`.
     """
     if n <= 0:
         raise DegenerateInputError("factor_int needs a positive integer")
@@ -217,12 +218,10 @@ def factor_int(n, trial_bound=10**6, rho_rounds=64, seed=0):
         if r * r == m:
             stack.extend([r, r])
             continue
-        if rounds >= rho_rounds:
-            out[m] = out.get(m, 0) + 1
-            complete = False
-            continue
-        rounds += 1
-        d = _pollard_rho(m, rng)
+        d = None
+        while d is None and rounds < rho_rounds:
+            rounds += 1
+            d = _pollard_rho(m, rng)
         if d is None:
             out[m] = out.get(m, 0) + 1
             complete = False

@@ -24,6 +24,15 @@ coefficient sizes are checked as each product or sum produces them):
     MAX_BITS = 8192      numerator and denominator of every rational coefficient
     MAX_WORK = 100000    coefficient products and sums in one text
 
+A rational number (parse_rational: CLI rationals, certificate rationals
+written as strings) is one of
+
+    rational := [SIGN] (DIGITS ["/" DIGITS | "." [DIGITS]] | "." DIGITS)
+
+with optional blanks around it, ASCII digits, at most MAX_DIGITS of them in
+each run, and no exponent: `-3`, `22/7`, `2.5`, `5.` and `.5` are read;
+`1e3`, `1_000` and `0x10` are not.
+
 The same renderer is used for CLI output and certificate files, and
 parse(render(p)) == p.
 """
@@ -47,6 +56,7 @@ class ParseError(SosfieldError):
 
 
 _TOKEN = re.compile(r"(\d+)|([A-Za-z]+)|([()+\-*/^])")
+_RATIONAL = re.compile(r"\s*[-+]?(?:([0-9]+)(?:/([0-9]+)|\.([0-9]*))?|\.([0-9]+))\s*")
 _SPACE = re.compile(r"\s*")
 
 
@@ -285,9 +295,15 @@ def parse_fraction(text, k, var="X"):
 
 
 def parse_rational(text):
+    """The rational number written in `text`, by the grammar in the module docstring."""
+    m = _RATIONAL.fullmatch(text)
+    if not m:
+        raise ParseError(f"not a rational number: {text!r}")
+    if any(len(run or "") > MAX_DIGITS for run in m.groups()):
+        raise ParseError(f"rational with a run of more than {MAX_DIGITS} digits")
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
         raise ParseError(f"not a rational number: {text!r}") from None
 
 

@@ -245,22 +245,6 @@ def _kr_gcd(A, B, R):
     return _kr_monic(A, R)
 
 
-def _kr_ext_gcd(A, B, R):
-    """(g, s, t) with g monic (or zero) and s*A + t*B = g, as poly_ext_gcd."""
-    M = R.F.q
-    r0, r1, s0, s1, t0, t1 = A, B, [1], [], [], [1]
-    while r1:
-        q, r = _kr_divmod(r0, r1, R)
-        r0, r1 = r1, r
-        s0, s1 = s1, _zl_sub(s0, _kr_mul(q, s1, R), M)
-        t0, t1 = t1, _zl_sub(t0, _kr_mul(q, t1, R), M)
-    lc = _kr_lc(r0, R)
-    if not r0 or lc == [1]:
-        return r0, s0, t0
-    inv = _kr_inverse(lc, R)
-    return tuple(_kr_mul(inv, x, R) for x in (r0, s0, t0))
-
-
 class Poly:
     """Immutable dense polynomial over a field object, in one named variable."""
 
@@ -528,9 +512,6 @@ def poly_ext_gcd(a, b):
     if type(F) is FqField:
         g, s, t = _zl_ext_gcd(_ints(a), _ints(b), F.q)
         return tuple([Poly._from_ints(F, c, a.var) for c in (g, s, t)])
-    if F is not None:
-        g, s, t = _kr_ext_gcd(_kr_pack(a), _kr_pack(b), F)
-        return tuple([Poly._from_packed(F, c, a.var) for c in (g, s, t)])
     F, var = a.field, a.var
     one, zero = Poly(F, [F.one()], var), Poly(F, [], var)
     r0, r1, s0, s1, t0, t1 = a, b, one, zero, zero, one
@@ -594,32 +575,6 @@ def poly_pow_mod(a, e, m):
         a = a * a % m
         e >>= 1
     return result
-
-
-def poly_sqrt(p, sqrt_fn):
-    """Exact square root of p, or None. sqrt_fn takes/returns field elements."""
-    if p.is_zero():
-        return p
-    d = p.degree()
-    if d % 2 == 1:
-        return None
-    m = d // 2
-    lead = sqrt_fn(p.lc())
-    if lead is None:
-        return None
-    F = p.field
-    b = [F.zero()] * (m + 1)
-    b[m] = lead
-    inv2lead = F.one() / (lead + lead)
-    for j in range(m - 1, -1, -1):
-        s = F.zero()
-        for i in range(j + 1, m):
-            k = m + j - i
-            if 0 <= k < m:
-                s = s + b[i] * b[k]
-        b[j] = (p.coeff(m + j) - s) * inv2lead
-    cand = Poly(F, b, p.var)
-    return cand if cand * cand == p else None
 
 
 class RatFunc:

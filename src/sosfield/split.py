@@ -26,6 +26,8 @@ from .local import BasePlace, ExtPlace
 from .numtheory import primes
 from .poly import Poly, RatFunc, RatFuncField, poly_gcd, poly_pow_mod, resultant
 
+NORM_SHIFTS = 16
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -135,15 +137,15 @@ def _trager_norm(L, g):
     return norm.as_poly()
 
 
-def number_field_roots(L, g, max_shift=16):
+def number_field_roots(L, g):
     """All roots in L = Q[x]/(pi) of a monic squarefree g over L, sorted.
 
-    Trager's method: shift until the norm is squarefree, factor it over Q, and
-    read the linear factors back off gcds.  Complete: an empty list is a proof
-    that g has no root in L.
+    Trager's method: shift until the norm is squarefree (at most NORM_SHIFTS
+    shifts), factor it over Q, and read the linear factors back off gcds.
+    Complete: an empty list is a proof that g has no root in L.
     """
     xbar = L.gen()
-    for s in range(max_shift):
+    for s in range(NORM_SHIFTS):
         if s == 0:
             gs = g
         else:
@@ -167,13 +169,13 @@ def number_field_roots(L, g, max_shift=16):
     return sorted(roots, key=L.sort_key)
 
 
-def residue_roots(R, g, seed=0):
+def residue_roots(R, g):
     """All roots in a residue field R of a monic squarefree g over R, sorted.
 
     R is finite (factorization over F_q) or a number field (Trager norms).
     """
     if R.order() is not None:
-        return fq_roots(g, seed=seed)
+        return fq_roots(g)
     return number_field_roots(R, g)
 
 
@@ -199,7 +201,7 @@ def residue_is_nonreal(base_place):
     return nonreal, residue_sqrt(R, -R.one())
 
 
-def analyze_place(field, base_place, seed=0):
+def analyze_place(field, base_place):
     """SplitPlaceRecord when base_place is completely split in field, else None."""
     if field.base != base_place.base:
         raise DegenerateInputError("place does not belong to the base of the field")
@@ -213,7 +215,7 @@ def analyze_place(field, base_place, seed=0):
         tbar = Poly.gen(R, fbar.var)
         if poly_pow_mod(tbar, R.order(), fbar) != tbar % fbar:
             return None
-    roots = residue_roots(R, fbar, seed)
+    roots = residue_roots(R, fbar)
     if len(roots) != field.deg:
         return None
     nonreal, sqrtm1 = residue_is_nonreal(base_place)
@@ -221,12 +223,7 @@ def analyze_place(field, base_place, seed=0):
 
 
 def find_split_places(
-    field,
-    count=1,
-    budget=None,
-    require_nonreal=True,
-    require_sqrt_minus_one=False,
-    seed=0,
+    field, count=1, budget=None, require_nonreal=True, require_sqrt_minus_one=False
 ):
     """First `count` completely split places in canonical candidate order.
 
@@ -245,7 +242,7 @@ def find_split_places(
         if tried >= budget.max_candidates or time.monotonic() > deadline:
             return SplitSearchResult(tuple(records), tried, True)
         tried += 1
-        rec = analyze_place(field, BasePlace(field.base, pi), seed=seed)
+        rec = analyze_place(field, BasePlace(field.base, pi))
         if rec is None or (require_nonreal and not rec.nonreal):
             continue
         if require_sqrt_minus_one and rec.sqrt_minus_one is None:

@@ -24,6 +24,9 @@ from .numtheory import legendre
 from .poly import Poly
 from .split import height_tuples, residue_is_nonreal, residue_sqrt, verify_split_place
 
+MINUS_ONE_HEIGHT = 10
+MINUS_ONE_CANDIDATES = 4000
+
 
 class SosExpr:
     """A formal sum of squares: terms (t_1, ..., t_s) standing for sum t_j^2.
@@ -91,14 +94,15 @@ def _elements_by_height(L, height):
                 yield e
 
 
-def _minus_one_squares(R, sqrt_minus_one, height=10, max_candidates=4000):
+def _minus_one_squares(R, sqrt_minus_one):
     """-1 as a list of squared elements of a nonreal residue field R.
 
     One square when R has the square root of -1 passed in.  Otherwise a finite
     R has order p^d with p = 3 mod 4 and d odd, so a constant of F_p is a
     square in R exactly when it is one mod p, and the least a >= 1 with
     -1 - a^2 a square mod p gives two squares.  A number field is searched
-    by ascending coordinate height with an explicit cutoff, for <= 3 squares.
+    by ascending coordinate height up to MINUS_ONE_HEIGHT, at most
+    MINUS_ONE_CANDIDATES candidates per stage, for <= 3 squares.
     """
     if sqrt_minus_one is not None:
         return [sqrt_minus_one]
@@ -108,28 +112,28 @@ def _minus_one_squares(R, sqrt_minus_one, height=10, max_candidates=4000):
         a = R.from_int(next(a for a in range(1, p) if legendre(-1 - a * a, p) == 1))
         return [a, residue_sqrt(R, m1 - a * a)]
     seen = 0
-    for a in _elements_by_height(R, height):
+    for a in _elements_by_height(R, MINUS_ONE_HEIGHT):
         seen += 1
-        if seen > max_candidates:
+        if seen > MINUS_ONE_CANDIDATES:
             break
         b = residue_sqrt(R, m1 - a * a)
         if b:
             return [a, b]
     seen = 0
-    shallow = list(itertools.islice(_elements_by_height(R, min(height, 3)), 80))
+    shallow = list(itertools.islice(_elements_by_height(R, 3), 80))
     for a, b in itertools.combinations_with_replacement(shallow, 2):
         seen += 1
-        if seen > max_candidates:
+        if seen > MINUS_ONE_CANDIDATES:
             break
         c = residue_sqrt(R, m1 - a * a - b * b)
         if c:
             return [a, b, c]
     raise RepresentationNotFoundError(
-        f"-1 not expressed as a sum of squares within coordinate height {height}"
+        f"-1 not expressed as a sum of squares within coordinate height {MINUS_ONE_HEIGHT}"
     )
 
 
-def sos_uniformizer(place, height=10):
+def sos_uniformizer(place):
     """A sum of squares y in E with valuation exactly 1 at the place.
 
     Writes -1 as a sum of squares in the residue field, lifts the terms, and
@@ -140,7 +144,7 @@ def sos_uniformizer(place, height=10):
     nonreal, sqrt_minus_one = residue_is_nonreal(place)
     if not nonreal:
         raise DegenerateInputError("residue field is formally real")
-    residue_terms = _minus_one_squares(place.residue_field(), sqrt_minus_one, height)
+    residue_terms = _minus_one_squares(place.residue_field(), sqrt_minus_one)
     base = place.base
     E = base.fraction_field()
     pi = base.from_ring(place.uniformizer)
@@ -158,7 +162,7 @@ def sos_uniformizer(place, height=10):
     return expr
 
 
-def tau_hit(places, target, height=10):
+def tau_hit(places, target):
     """A sum of squares sigma in K with prescribed valuations at the places.
 
     Odd coordinates each contribute a factor y + z^2 (valuation 1 there, 0
@@ -173,7 +177,7 @@ def tau_hit(places, target, height=10):
     target = [int(t) for t in target]
     odd = [i for i, t in enumerate(target) if t % 2]
     if odd:
-        y_expr = sos_uniformizer(places[0].base_place, height)
+        y_expr = sos_uniformizer(places[0].base_place)
         y_terms = [field.from_base(t) for t in y_expr.terms]
         sigma = None
         for i in odd:
@@ -210,7 +214,7 @@ class WitnessCertificate:
         return self.field.irreducibility_status == "asserted"
 
 
-def nonpyth_witness(field, record, height=10):
+def nonpyth_witness(field, record):
     """Certificate that Sum(K^2) is not contained in E*K^2.
 
     Builds sigma with valuation 1 at the record's first place and 0 at the
@@ -224,7 +228,7 @@ def nonpyth_witness(field, record, height=10):
         raise DegenerateInputError("need an extension of degree at least 2")
     places = record.ext_places()
     target = [1] + [0] * (len(places) - 1)
-    sos = tau_hit(places, target, height)
+    sos = tau_hit(places, target)
     cert = WitnessCertificate(
         field, record, sos, valuation_vector(places, sos.value), 0
     )

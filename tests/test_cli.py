@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -202,6 +203,55 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2  # reducible
     code, _, err = run(capsys, "pyth-chain", "--terms", "2,banana")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "-a", "1e100000000", "-b", "3", "-p", "5"],
+        ["hilbert", "-a", "1e5000", "-b", "3", "-p", "5"],
+        ["two-squares", "1e5000"],
+        ["pyth-chain", "--terms", "1e5000,1"],
+    ],
+)
+def test_exponent_rationals_exit_2(capsys, argv):
+    # Fraction() reads exponents: 1e5000 ended in a traceback when printed,
+    # and 1e100000000 ran for minutes building 10**100000000
+    start = time.monotonic()
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "Traceback" not in err and "1e" in err
+    assert time.monotonic() - start < 1
+
+
+def test_verify_exponent_rational_exits_2(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    code, _, _ = run(capsys, "pyth-chain", "--terms", "2,1,1,1", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["payload"]["terms"][0] = "1e100000000"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and "Traceback" not in err and "terms[0]: not a rational" in err
+    assert time.monotonic() - start < 1
+
+
+@pytest.mark.parametrize("base, f", [("Q", "T^2-2"), ("Fq:7", "T^3-X"), ("QX", "T^2-X")])
+def test_seed_changes_only_provenance(capsys, tmp_path, base, f):
+    # no search depends on --seed; a written certificate records it
+    path = tmp_path / "c.json"
+    for cmd in ("witness", "split-places"):
+        runs = []
+        for seed in (0, 7):
+            code, out, _ = run(
+                capsys, cmd, "--base", base, "--f", f, "--seed", str(seed), "--out", str(path)
+            )
+            assert code == 0
+            runs.append((out, json.loads(path.read_text())))
+        (out0, doc0), (out7, doc7) = runs
+        assert out0 == out7
+        assert doc0["provenance"]["seed"] == 0 and doc7["provenance"]["seed"] == 7
+        doc7["provenance"]["seed"] = 0
+        assert doc0 == doc7
 
 
 def test_deterministic_output(capsys, tmp_path):

@@ -136,10 +136,11 @@ def test_extfield_rejects_bad_input():
     with pytest.raises(DegenerateInputError):
         ExtField(GlobalBase("Q"), Poly(QQ, [Fraction(1, 2), Fraction(1)], "T"))
     f = _ff_poly(_base_ff(5), [[0, -1], [0], [0], [0], [1]])
-    with pytest.raises(DegenerateInputError):
-        ExtField(_base_ff(5), f, irreducibility="verified")
     K = ExtField(_base_ff(5), f, irreducibility="asserted")
     assert K.irreducibility_status == "asserted"
+    with pytest.raises(DegenerateInputError):
+        K.decide_irreducibility(required=True)
+    assert ExtField(_base_ff(5), f).irreducibility_status == "asserted"
 
 
 def test_extfield_attributes():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sosfield import factor
 from sosfield.errors import DegenerateInputError
 from sosfield.factor import (
     factor_fq,
@@ -91,26 +92,26 @@ def test_factor_q_known_cases():
     assert fac.unit == 2 and fac.expand() == T * 2 + one
 
 
-def test_factor_q_prime_independence():
-    # same factorization from two different working primes
+def test_factor_q_prime_independence(monkeypatch):
+    # same factorization from two different working primes: disc(f) is
+    # -2^3 * 3 * 7^2, so 5 is the first good prime; f splits into 2 factors
+    # mod 5 and into 3 mod 13, where recombination has to run
     T = Poly.gen(QQ, "T")
     one = Poly(QQ, [QQ.one()], "T")
     f = (T * T - one * 2) * (T * T + T + one)
-    p0 = good_prime(f)
-    p1 = good_prime(f, skip=1)
-    assert p0 != p1
-    assert factor_q(f, modular_prime=p0).factors == factor_q(f, modular_prime=p1).factors
+    assert good_prime([-2, -2, -1, 1, 1]) == 5
+    want = factor_q(f).factors
+    used = []
+    monkeypatch.setattr(factor, "good_prime", lambda G: used.append(G) or 13)
+    assert factor_q(f).factors == want
+    assert used == [[-2, -2, -1, 1, 1]]
 
 
 def test_good_prime_avoids_disc_and_lc():
-    T = Poly.gen(QQ, "T")
-    one = Poly(QQ, [QQ.one()], "T")
-    f = T * T - one * 2  # disc 8, lc 1
-    p = good_prime(f)
-    assert p == 3
-    assert good_prime([(-2), 0, 1]) == 3
+    assert good_prime([-2, 0, 1]) == 3  # disc 8, lc 1
+    assert good_prime([-2, 0, 3]) == 5  # disc 24, lc 3
     with pytest.raises(DegenerateInputError):
-        good_prime((T - one) * (T - one))
+        good_prime([1, -2, 1])
 
 
 def test_sturm_isolate_counts():

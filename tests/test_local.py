@@ -11,6 +11,7 @@ from sosfield.errors import (
 from sosfield.extension import ExtField, GlobalBase
 from sosfield.fields import QQ, FqField
 from sosfield.local import (
+    PRECISION_CEILING,
     BasePlace,
     ExtPlace,
     ValuationVector,
@@ -262,4 +263,4 @@ def test_precision_ceiling_raises():
     K = _sqrt2_field()
     w = ExtPlace(K, BasePlace(_q_base(), 7), 3)
     with pytest.raises(PrecisionExhaustedError):
-        ext_valuation(w, K.from_int(7**5), ceiling=4)
+        ext_valuation(w, K.from_int(7 ** (PRECISION_CEILING + 1)))

@@ -103,12 +103,12 @@ def test_is_prime_matches_sympy_above_psi13():
 
 
 def test_factor_int_psi12_is_not_reported_prime():
-    # the default rho budget (250,000 steps per attempt) is too small to split
-    # psi_12, so the cofactor comes back flagged incomplete rather than prime
+    # one rho attempt (250,000 steps) does not split psi_12, so the cofactor
+    # comes back flagged incomplete rather than prime; the default 64
+    # attempts split it
     fac, complete = factor_int(PSI_12)
-    assert (fac, complete) == ({PSI_12: 1}, False)
-    d = _pollard_rho(PSI_12, random.Random(0), max_steps=3_000_000)
-    assert {d, PSI_12 // d} == set(PSI_12_FACTORS)
+    assert (fac, complete) == ({p: 1 for p in PSI_12_FACTORS}, True)
+    assert factor_int(PSI_12, rho_rounds=1) == ({PSI_12: 1}, False)
 
 
 def test_primes_stream():
@@ -169,12 +169,10 @@ def _factor_int_by_loop(n, trial_bound, rho_rounds):
         if r * r == m:
             stack.extend([r, r])
             continue
-        if rounds >= rho_rounds:
-            out[m] = out.get(m, 0) + 1
-            complete = False
-            continue
-        rounds += 1
-        d = _pollard_rho(m, rng)
+        d = None
+        while d is None and rounds < rho_rounds:
+            rounds += 1
+            d = _pollard_rho(m, rng)
         if d is None:
             out[m] = out.get(m, 0) + 1
             complete = False

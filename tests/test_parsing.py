@@ -138,6 +138,12 @@ def test_parse_rational():
         parse_rational("x")
     with pytest.raises(ParseError):
         parse_rational("1/0")
+    assert [parse_rational(t) for t in ("2.5", "5.", ".5", "+3", "-.25")] == [
+        Fraction(5, 2), 5, Fraction(1, 2), 3, Fraction(-1, 4)
+    ]
+    for text in ("1e3", "1.5E2", "1/2e3", "1_000", "0x10", ".", "+", "", "1/ 2", "2/-3", "\uff13"):
+        with pytest.raises(ParseError):
+            parse_rational(text)
 
 
 def test_parse_poly_over_q():
@@ -347,6 +353,11 @@ def test_cap_digits(capsys):
     assert parse_poly(f"T - {under}", QQ).coeff(0) == -int(under)
     code, err = _exit_code(capsys, f"T^2 - {under}9")
     assert code == 2 and f"more than {MAX_DIGITS} digits at position 6" in err
+    # each digit run of a rational
+    for text in ("-{}", "1/{}", "{}/3", "1.{}", "{}.5", ".{}"):
+        assert parse_rational(text.format(under)) != 0
+        with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits"):
+            parse_rational(text.format(under + "9"))
 
 
 def test_cap_exponent_and_degree(capsys):

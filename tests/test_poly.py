@@ -13,7 +13,6 @@ from sosfield.poly import (
     poly_ext_gcd,
     poly_gcd,
     poly_pow_mod,
-    poly_sqrt,
     resultant,
 )
 
@@ -142,17 +141,6 @@ def test_poly_pow_mod_matches_naive():
         m = _rand_poly(F, rng, rng.randrange(1, 4))
         e = rng.randrange(0, 30)
         assert poly_pow_mod(a, e, m) == (a**e) % m
-
-
-def test_poly_sqrt():
-    rng = random.Random(8)
-    from sosfield.fields import rat_sqrt
-
-    for _ in range(15):
-        f = _rand_poly(QQ, rng, rng.randrange(1, 4))
-        r = poly_sqrt(f * f, rat_sqrt)
-        assert r is not None and r * r == f * f
-    assert poly_sqrt(P(QQ, [1, 1]), rat_sqrt) is None
 
 
 def test_poly_sort_key_degree_major():
