@@ -21,7 +21,7 @@ from .parsing import (
     ParseError,
     parse_fraction,
     parse_poly,
-    parse_rational,
+    read_rational,
     render_poly,
     render_scalar,
 )
@@ -65,7 +65,7 @@ def _rat_in(v, where):
         return Fraction(v)
     if isinstance(v, str):
         try:
-            return parse_rational(v)
+            return read_rational(v)
         except ParseError as e:
             raise ParseError(f"{where}: {e}") from None
     raise ParseError(f"{where}: expected a rational, got {type(v).__name__}")

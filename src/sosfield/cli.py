@@ -286,8 +286,8 @@ def _build_parser():
         default=64,
         dest="rho_rounds",
         help="Pollard rho attempts after trial division, failed ones included "
-        "(0 disables); one attempt takes up to about 0.5 s on a 24-digit "
-        "cofactor, so the default can take about 30 s",
+        "(0 disables); one attempt runs up to 250,000 steps, about 0.5 s on a "
+        "24-digit cofactor and tens of seconds on a 900-digit one",
     )
     p.add_argument("--seed", type=int, default=0, help="Pollard rho seed (default 0)")
     p.set_defaults(func=_cmd_two_squares)

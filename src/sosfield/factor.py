@@ -160,13 +160,8 @@ def is_irreducible_fq(f):
 
 def fq_roots(f):
     """Roots of f in its finite coefficient field, canonically sorted."""
-    F = f.field
-    roots = []
-    for g, _ in factor_fq(f).factors:
-        if g.degree() == 1:
-            roots.append(-g.coeff(0))
-    roots.sort(key=F.sort_key)
-    return roots
+    roots = [-g.coeff(0) for g, _ in factor_fq(f).factors if g.degree() == 1]
+    return sorted(roots, key=f.field.sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +294,6 @@ def _zassenhaus(G):
     idxs = list(range(len(lifted)))
     result, s = [], 1
     while 2 * s <= len(idxs):
-        found = False
         for subset in itertools.combinations(idxs, s):
             hstar = [G[-1] % pl]
             for i in subset:
@@ -310,9 +304,8 @@ def _zassenhaus(G):
                 result.append(h)
                 G = _zx_primitive(q)
                 idxs = [i for i in idxs if i not in subset]
-                found = True
                 break
-        if not found:
+        else:
             s += 1
     if len(G) > 1:
         result.append(G)
@@ -334,9 +327,7 @@ def factor_q(f):
         return Factorization(unit, ())
     factors = []
     for part, mult in _yun(f.monic()):
-        den = 1
-        for c in part.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in part.coeffs))
         G = _zx_primitive([int(c * den) for c in part.coeffs])
         for h in _zassenhaus(G):
             factors.append((Poly(QQ, h, f.var).monic(), mult))

@@ -175,18 +175,11 @@ def _block_product(block):
     return _block_products[block]
 
 
-def factor_int(n, trial_bound=10**6, rho_rounds=64, seed=0):
-    """Factor a positive integer, returning ({prime: exponent}, complete).
+def trial_divide(n, trial_bound=10**6):
+    """Trial division of n: ({prime: exponent}, rest) with n = rest * prod(p^e).
 
-    Trial division up to trial_bound, then at most rho_rounds Pollard rho
-    attempts in all, failed ones included: a cofactor an attempt does not
-    split is tried again while attempts remain. If they run out, the
-    unfactored composite part is stored under its own key and the second
-    return value is False; callers must check `complete`.
+    The dict has every prime factor of n up to trial_bound, rest only larger ones.
     """
-    if n <= 0:
-        raise DegenerateInputError("factor_int needs a positive integer")
-    rng = random.Random(seed)
     out = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -206,6 +199,25 @@ def factor_int(n, trial_bound=10**6, rho_rounds=64, seed=0):
                 out[d] = out.get(d, 0) + 1
                 n //= d
             d += 2
+    if 1 < n < d * d:  # no prime below d divides n, so n is prime
+        out[n] = out.get(n, 0) + 1
+        n = 1
+    return out, n
+
+
+def factor_int(n, trial_bound=10**6, rho_rounds=64, seed=0):
+    """Factor a positive integer, returning ({prime: exponent}, complete).
+
+    trial_divide up to trial_bound, then at most rho_rounds Pollard rho
+    attempts in all, failed ones included: a cofactor an attempt does not
+    split is tried again while attempts remain. If they run out, the
+    unfactored composite part is stored under its own key and the second
+    return value is False; callers must check `complete`.
+    """
+    if n <= 0:
+        raise DegenerateInputError("factor_int needs a positive integer")
+    rng = random.Random(seed)
+    out, n = trial_divide(n, trial_bound)
     stack, complete, rounds = [n] if n > 1 else [], True, 0
     while stack:
         m = stack.pop()

@@ -24,14 +24,14 @@ coefficient sizes are checked as each product or sum produces them):
     MAX_BITS = 8192      numerator and denominator of every rational coefficient
     MAX_WORK = 100000    coefficient products and sums in one text
 
-A rational number (parse_rational: CLI rationals, certificate rationals
-written as strings) is one of
+A rational number is
 
     rational := [SIGN] (DIGITS ["/" DIGITS | "." [DIGITS]] | "." DIGITS)
 
-with optional blanks around it, ASCII digits, at most MAX_DIGITS of them in
-each run, and no exponent: `-3`, `22/7`, `2.5`, `5.` and `.5` are read;
-`1e3`, `1_000` and `0x10` are not.
+with optional blanks around it, ASCII digits and no exponent (`1e3`, `1_000`
+and `0x10` are malformed).  parse_rational (CLI input) takes at most
+MAX_DIGITS digits in each run, read_rational (certificate strings) as many as
+int() reads: the tool writes squares of the rationals it is given.
 
 The same renderer is used for CLI output and certificate files, and
 parse(render(p)) == p.
@@ -294,17 +294,22 @@ def parse_fraction(text, k, var="X"):
     return Poly(k, _dense(num, 1, k), var), Poly(k, _dense(den, 1, k), var)
 
 
-def parse_rational(text):
+def read_rational(text):
     """The rational number written in `text`, by the grammar in the module docstring."""
+    if _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):  # ValueError: past int()'s digit limit
+            pass
+    raise ParseError(f"not a rational number: {text!r}")
+
+
+def parse_rational(text):
+    """read_rational, with at most MAX_DIGITS digits in each run."""
     m = _RATIONAL.fullmatch(text)
-    if not m:
-        raise ParseError(f"not a rational number: {text!r}")
-    if any(len(run or "") > MAX_DIGITS for run in m.groups()):
+    if m and any(len(run or "") > MAX_DIGITS for run in m.groups()):
         raise ParseError(f"rational with a run of more than {MAX_DIGITS} digits")
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ParseError(f"not a rational number: {text!r}") from None
+    return read_rational(text)
 
 
 def _scalar_text(c):

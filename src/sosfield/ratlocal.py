@@ -11,7 +11,14 @@ from fractions import Fraction
 
 from .errors import CheckResult, DegenerateInputError, PrecisionExhaustedError
 from .fields import rat_is_square
-from .numtheory import factor_int, int_valuation, is_prime, legendre, smallest_nonresidue
+from .numtheory import (
+    factor_int,
+    int_valuation,
+    is_prime,
+    legendre,
+    smallest_nonresidue,
+    trial_divide,
+)
 
 
 @dataclass(frozen=True)
@@ -45,38 +52,37 @@ def two_square_test(q, trial_bound=10**6, rho_rounds=64, seed=0):
     prime pieces in ascending prime order, so the output is deterministic.
     A refusal is emitted only when the named prime's multiplicity is exact,
     which holds even for incomplete factorizations as long as the prime does
-    not divide the unfactored cofactor.
+    not divide the unfactored cofactor.  Trial division finds every prime up
+    to trial_bound, all smaller than the rest, so when one of them refuses q
+    Pollard rho does not run.
     """
     q = Fraction(q)
     if q < 0:
         raise DegenerateInputError("two_square_test needs a nonnegative rational")
     if q == 0:
         return TwoSquareResult("decomposed", (Fraction(0), Fraction(0)))
-    fac_num, ok_num = factor_int(
-        q.numerator, trial_bound=trial_bound, rho_rounds=rho_rounds, seed=seed
-    )
-    fac_den, ok_den = factor_int(
-        q.denominator, trial_bound=trial_bound, rho_rounds=rho_rounds, seed=seed
-    )
-    exps = dict(fac_num)
-    for p, e in fac_den.items():
-        exps[p] = exps.get(p, 0) + e
-    composites = [p for p in exps if not is_prime(p)]
-    bad = sorted(
-        p
-        for p, e in exps.items()
-        if p % 4 == 3
-        and e % 2 == 1
-        and p not in composites
-        and all(c % p for c in composites)
-    )
+    trial = [trial_divide(n, trial_bound) for n in (q.numerator, q.denominator)]
+    exps = {p: e for fac, _ in trial for p, e in fac.items()}  # num, den coprime
+    bad = [p for p, e in exps.items() if p <= trial_bound and p % 4 == 3 and e % 2]
+    complete = True
+    if not bad:  # a rest has no prime up to trial_bound: only rho is left
+        for _, rest in trial:
+            fac, ok = factor_int(rest, 1, rho_rounds=rho_rounds, seed=seed)
+            exps.update(fac)
+            complete = complete and ok
+        composites = [p for p in exps if not is_prime(p)]
+        bad = [
+            p
+            for p, e in exps.items()
+            if p % 4 == 3 and e % 2 and p not in composites and all(c % p for c in composites)
+        ]
     if bad:
         return TwoSquareResult(
             "refused",
-            obstructing_prime=bad[0],
-            detail=f"prime {bad[0]} = 3 mod 4 divides q to odd multiplicity",
+            obstructing_prime=min(bad),
+            detail=f"prime {min(bad)} = 3 mod 4 divides q to odd multiplicity",
         )
-    if not (ok_num and ok_den):
+    if not complete:
         return TwoSquareResult(
             "undecided", detail=f"unfactored composite cofactor {math.prod(composites)}"
         )

@@ -111,20 +111,13 @@ def _minus_one_squares(R, sqrt_minus_one):
         p = R.char
         a = R.from_int(next(a for a in range(1, p) if legendre(-1 - a * a, p) == 1))
         return [a, residue_sqrt(R, m1 - a * a)]
-    seen = 0
-    for a in _elements_by_height(R, MINUS_ONE_HEIGHT):
-        seen += 1
-        if seen > MINUS_ONE_CANDIDATES:
-            break
+    for a in itertools.islice(_elements_by_height(R, MINUS_ONE_HEIGHT), MINUS_ONE_CANDIDATES):
         b = residue_sqrt(R, m1 - a * a)
         if b:
             return [a, b]
-    seen = 0
     shallow = list(itertools.islice(_elements_by_height(R, 3), 80))
-    for a, b in itertools.combinations_with_replacement(shallow, 2):
-        seen += 1
-        if seen > MINUS_ONE_CANDIDATES:
-            break
+    pairs = itertools.combinations_with_replacement(shallow, 2)
+    for a, b in itertools.islice(pairs, MINUS_ONE_CANDIDATES):
         c = residue_sqrt(R, m1 - a * a - b * b)
         if c:
             return [a, b, c]

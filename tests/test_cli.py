@@ -128,6 +128,17 @@ def test_pyth_chain_verify_roundtrip(capsys, tmp_path):
     assert code == 0 and "valid pyth-chain" in out
 
 
+def test_pyth_chain_verify_long_terms(capsys, tmp_path):
+    # a 600-digit term is within the CLI cap; sigma, its sum of squares,
+    # has 1,200 digits, past the cap but within what a certificate holds
+    path = tmp_path / "chain.json"
+    code, _, _ = run(capsys, "pyth-chain", "--terms", "1" * 600 + "/2,1", "--out", str(path))
+    assert code == 0
+    assert len(json.loads(path.read_text())["payload"]["sigma"]) > 1200
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and "valid pyth-chain" in out
+
+
 def test_square_classes(capsys):
     code, out, _ = run(capsys, "square-classes-q2")
     assert code == 0

@@ -19,6 +19,7 @@ from sosfield.parsing import (
     parse_fraction,
     parse_poly,
     parse_rational,
+    read_rational,
     render_poly,
     render_scalar,
 )
@@ -144,6 +145,8 @@ def test_parse_rational():
     for text in ("1e3", "1.5E2", "1/2e3", "1_000", "0x10", ".", "+", "", "1/ 2", "2/-3", "\uff13"):
         with pytest.raises(ParseError):
             parse_rational(text)
+        with pytest.raises(ParseError):
+            read_rational(text)
 
 
 def test_parse_poly_over_q():
@@ -358,6 +361,10 @@ def test_cap_digits(capsys):
         assert parse_rational(text.format(under)) != 0
         with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits"):
             parse_rational(text.format(under + "9"))
+    # certificate rationals go up to int()'s limit of 4,300 digits
+    assert read_rational("1/" + "7" * 4300) == Fraction(1, int("7" * 4300))
+    with pytest.raises(ParseError, match="not a rational"):
+        read_rational("1/" + "7" * 4301)
 
 
 def test_cap_exponent_and_degree(capsys):

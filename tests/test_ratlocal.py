@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sosfield import numtheory
 from sosfield.errors import DegenerateInputError
 from sosfield.numtheory import factor_int, int_valuation, is_prime, primes
 from sosfield.ratlocal import (
@@ -131,6 +132,39 @@ def test_two_square_refusal_needs_exact_multiplicity():
     # even exponent of a found prime with coprime cofactor: still undecided, never refused
     r = two_square_test(9 * n, trial_bound=10**3, rho_rounds=0)
     assert r.status == "undecided"
+
+
+def test_two_square_refusal_by_trial_division_skips_rho(monkeypatch):
+    # 11 is found by trial division and divides q once, so the cofactor is
+    # never handed to Pollard rho
+    def no_rho(n, rng):
+        raise AssertionError(f"Pollard rho ran on {n}")
+
+    monkeypatch.setattr(numtheory, "_pollard_rho", no_rho)
+    r = two_square_test(11 * HARD_SEMIPRIME, trial_bound=10**3)
+    assert r.status == "refused" and r.obstructing_prime == 11
+    r = two_square_test(Fraction(HARD_SEMIPRIME, 11 * 49), trial_bound=10**3)
+    assert r.status == "refused" and r.obstructing_prime == 11
+
+
+def test_two_square_refusal_names_smallest_obstruction():
+    # with or without the trial-division shortcut, the named prime is the
+    # smallest prime 3 mod 4 dividing q to an odd power; 19 = 19/(11*23) at
+    # bound 10 is a prime past the bound that trial division ends on
+    rng = random.Random(65)
+    cases = [(Fraction(19, 11 * 23), 10), (Fraction(19**3, 11), 10**6), (Fraction(19, 11), 3)]
+    for _ in range(300):
+        q = _rand_positive_rational(rng, 10**6)
+        cases.append((q, rng.choice((0, 3, 10, 30, 10**3))))
+    for q, bound in cases:
+        exps = {}
+        for n in (q.numerator, q.denominator):
+            fac, ok = factor_int(n)
+            assert ok
+            exps.update(fac)
+        bad = [p for p, e in exps.items() if p % 4 == 3 and e % 2]
+        r = two_square_test(q, trial_bound=bound)
+        assert r.obstructing_prime == (min(bad) if bad else None), (q, bound)
 
 
 def test_three_square():
