@@ -3,10 +3,12 @@
 A GlobalBase is E = Q (ring Z) or E = k(X) (ring k[X]) with k in {Q, F_q}.
 An extension K = E[T]/(f) is a QuotientRing over the fraction field of the
 base; the same QuotientRing machinery also serves residue fields k[x]/(pi).
-Over k = F_p, QuotElem arithmetic runs on poly.py's int kernel; over Q and
-k(X) it runs on the generic Poly path.  Reducibility of a modulus is detected
-lazily: inverting a zero divisor raises ZeroDivisorError carrying the
-discovered factor.
+Over k = F_p, QuotElem arithmetic runs on poly.py's int kernel mod p; over Q
+(number fields Q[T]/(f) and the residue fields Q[x]/(pi) of Q(X)) products,
+inverses and powers run on the same kernel over Z, packed over one
+denominator; over k(X) it runs on the generic Poly path.  Reducibility of a
+modulus is detected lazily: inverting a zero divisor raises ZeroDivisorError
+carrying the discovered factor.
 """
 
 import math
@@ -14,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .errors import DegenerateInputError, ZeroDivisorError, clipped
-from .fields import QQ, FqElem, FqField
+from .fields import QQ, FqElem, FqField, RationalField
 from .poly import (
     Poly,
     RatFunc,
@@ -26,6 +28,12 @@ from .poly import (
     _zl_pow_mod,
     _zl_rem,
     _zl_sub,
+    _zq_ext_gcd,
+    _zq_mul,
+    _zq_pack,
+    _zq_pow_mod,
+    _zq_rem,
+    _zq_unpack,
     discriminant,
     poly_ext_gcd,
     poly_gcd,
@@ -182,6 +190,9 @@ class QuotElem:
         if R._pi is not None:
             M = R.F.q
             return R._from_ints(_zl_rem(_zl_mul(self._ints(), other._ints(), M), R._pi, M))
+        if R._qpi is not None:
+            prod = _zq_mul(_zq_pack(self.coords), _zq_pack(other.coords))
+            return R._from_zq(_zq_rem(prod, R._qpi))
         return R.from_poly(self.rep() * other.rep())
 
     __rmul__ = __mul__
@@ -192,6 +203,12 @@ class QuotElem:
         R = self.ring
         if R._pi is not None:
             return R._from_ints(_kr_inverse(self._ints(), R))
+        if R._qpi is not None:
+            g, s, _ = _zq_ext_gcd(_zq_pack(self.coords), R._qpi)
+            if len(g[0]) > 1:
+                g = Poly._from_zq(R.F, g, R.var)
+                raise ZeroDivisorError(f"zero divisor: modulus has factor {g!r}", factor=g)
+            return R._from_zq(s)
         g, s, _ = poly_ext_gcd(self.rep(), self.ring.modulus)
         if g.degree() > 0:
             raise ZeroDivisorError(
@@ -217,6 +234,8 @@ class QuotElem:
         R = self.ring
         if R._pi is not None:
             return R._from_ints(_zl_pow_mod(self._ints(), n, R._pi, R.F.q))
+        if R._qpi is not None:
+            return R._from_zq(_zq_pow_mod(_zq_pack(self.coords), n, R._qpi))
         result, base = self.ring.one(), self
         while n:
             if n & 1:
@@ -250,6 +269,8 @@ class QuotientRing:
 
     Over F = F_p the arithmetic runs on poly.py's int kernel: _pi is m as an
     int list (None over other F), and _from_ints builds elements from it.
+    Over F = Q it runs on the same kernel over Z: _qpi is m packed as (ints,
+    denominator) (None over other F), and _from_zq builds elements from it.
     """
 
     def __init__(self, F, modulus):
@@ -261,11 +282,13 @@ class QuotientRing:
         self.modulus = modulus
         self.var = modulus.var
         self.deg = modulus.degree()
-        self._pi = None
+        self._pi = self._qpi = None
         if type(F) is FqField:
             self._pi = [c.val for c in modulus.coeffs]
-            # _pad[k] fills a k-entry coordinate list up to deg entries
-            self._pad = tuple((F.zero(),) * (self.deg - k) for k in range(self.deg + 1))
+        elif type(F) is RationalField:
+            self._qpi = _zq_pack(modulus.coeffs)
+        # _pad[k] fills a k-entry coordinate list up to deg entries
+        self._pad = tuple((F.zero(),) * (self.deg - k) for k in range(self.deg + 1))
 
     def _from_ints(self, ints):
         """Element from at most deg ints in [0, p), skipping coerce (kernel rings only)."""
@@ -273,6 +296,14 @@ class QuotientRing:
         q = self.F.q
         e.ring = self
         e.coords = tuple([FqElem(v, q) for v in ints]) + self._pad[len(ints)]
+        return e
+
+    def _from_zq(self, A):
+        """Element from a packed (a, d) of degree < deg (Q rings only)."""
+        e = QuotElem.__new__(QuotElem)
+        e.ring = self
+        coords = _zq_unpack(A)
+        e.coords = tuple(coords) + self._pad[len(coords)]
         return e
 
     @property
@@ -298,6 +329,8 @@ class QuotientRing:
             raise DegenerateInputError("polynomial from wrong domain")
         if self._pi is not None:
             return self._from_ints(_zl_rem(_ints(p), self._pi, self.F.q))
+        if self._qpi is not None:
+            return self._from_zq(_zq_rem(_zq_pack(p.coeffs), self._qpi))
         return QuotElem(self, (p % self.modulus).coeffs)
 
     def coerce(self, x):

@@ -26,6 +26,7 @@ from .poly import (
     _zl_divmod,
     _zl_ext_gcd,
     _zl_mul,
+    _zl_pdivmod,
     _zl_sub,
     _zl_trim,
     discriminant,
@@ -252,14 +253,10 @@ def _zx_primitive(a):
 
 def _zx_divides(h, G):
     """Exact division test in Z[X]; returns quotient or None."""
-    if len(h) > len(G):
+    s, q, r = _zl_pdivmod(G, h, 0)
+    if r or any(c % s for c in q):
         return None
-    q, r = divmod(Poly(QQ, G, "X"), Poly(QQ, h, "X"))
-    if not r.is_zero() and r != 0:
-        return None
-    if any(c.denominator != 1 for c in q.coeffs):
-        return None
-    return [c.numerator for c in q.coeffs]
+    return [c // s for c in q]
 
 
 def good_prime(G):

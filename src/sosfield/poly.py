@@ -12,17 +12,27 @@ Over a residue field F_p[x]/(pi) (an extension.QuotientRing over an
 FqField) the same kernel serves by Kronecker substitution: the residues of a
 Poly are packed into one F_p[Y] list, so a product in (F_p[x]/(pi))[T] is
 one kernel product.  Poly.coeffs stays a tuple of QuotElem.
+
+Over Q the kernel serves Z[X] (M = 0): a Poly packs to an int list over one
+positive denominator, a product is one integer convolution and a division is
+pseudo-division, and gcds and powers stay packed until the result, which is
+unpacked once into normalized Fractions.  Poly.coeffs stays a tuple of
+Fraction.  The generic path is left for Q(X) and F_q(X) coefficients, and for
+residue rings Q[x]/(pi), whose elements multiply on the kernel.
 """
 
+import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import DegenerateInputError, ZeroDivisorError
-from .fields import FqElem, FqField
+from .fields import FqElem, FqField, RationalField
 
 # ---------------------------------------------------------------------------
-# Int-list kernel for (Z/M)[X]: coefficient lists lowest degree first, no
-# trailing zeros. Inputs need not be reduced mod M, but a divisor's leading
-# coefficient must be a unit mod M; results are reduced into [0, M).
+# Int-list kernel for (Z/M)[X], and for Z[X] with M = 0: coefficient lists
+# lowest degree first, no trailing zeros. Inputs need not be reduced mod M,
+# but a divisor's leading coefficient must be a unit mod M; results are
+# reduced into [0, M).  Only the product and the division serve M = 0.
 
 
 def _zl_trim(a):
@@ -56,22 +66,46 @@ def _zl_mul(a, b, M):
     for i, x in enumerate(a):
         if x:
             out[i : i + lb] = [o + x * y for o, y in zip(out[i : i + lb], b)]
-    return _zl_trim([c % M for c in out])
+    return _zl_trim([c % M for c in out] if M else out)
+
+
+def _zl_pdivmod(a, b, M):
+    """(s, q, r) with s*a = q*b + r and deg r < deg b, for a nonzero b.
+
+    Over Z/M, lc(b) must be a unit mod M, and s = 1.  Over Z (M = 0) this is
+    pseudo-division: a step whose leading coefficient t is not a multiple of
+    lc(b) first scales r and q by lc(b)/gcd(t, lc(b)), so s > 0 divides a
+    power of lc(b).
+    """
+    db, lc = len(b) - 1, b[-1]
+    inv = pow(lc, -1, M) if M else None
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
+        top = k + db
+        t = r[top]
+        if M:
+            t = t * inv % M
+        elif t % lc:
+            m = abs(lc) // math.gcd(t, lc)
+            r[:top] = [x * m for x in r[:top]]
+            q = [x * m for x in q]
+            s *= m
+            t = t * m // lc
+        else:
+            t //= lc
+        if t:
+            q[k] = t
+            # position top cancels and is never read again
+            r[k:top] = [x - t * y for x, y in zip(r[k:top], b)]
+    r = r[:db]
+    return s, _zl_trim(q), _zl_trim([c % M for c in r] if M else r)
 
 
 def _zl_divmod(a, b, M):
     """Quotient and remainder of a by b mod M; lc(b) must be a unit mod M."""
-    db = len(b) - 1
-    inv = pow(b[-1], -1, M)
-    r = list(a)
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        t = r[k + db] * inv % M
-        if t:
-            q[k] = t
-            # position k + db cancels mod M and is never read again
-            r[k : k + db] = [x - t * y for x, y in zip(r[k : k + db], b)]
-    return _zl_trim(q), _zl_trim([c % M for c in r[:db]])
+    return _zl_pdivmod(a, b, M)[1:]
 
 
 def _zl_scale(a, c, M):
@@ -124,6 +158,113 @@ def _zl_rem(a, m, M):
 
 def _ints(p):
     return [c.val for c in p.coeffs]
+
+
+# ---------------------------------------------------------------------------
+# Q[X] on the kernel over Z: a rational polynomial is packed as (a, d), the
+# int list a over one positive denominator d.  Results are normalized, so
+# gcd(d, content(a)) = 1 and zero is ([], 1); products and pseudo-division
+# run on _zl_mul/_zl_pdivmod with M = 0.
+
+
+def _zq_pack(cs):
+    """Rational coefficients, possibly with trailing zeros, packed."""
+    dens = [c.denominator for c in cs]
+    d = math.lcm(*dens)
+    if d == 1:
+        return _zl_trim([c.numerator for c in cs]), 1
+    return _zl_trim([c.numerator * (d // e) for c, e in zip(cs, dens)]), d
+
+
+def _zq_unpack(A):
+    a, d = A
+    if d == 1:
+        return [Fraction(x) for x in a]
+    return [Fraction(x, d) for x in a]
+
+
+def _zq_norm(a, d):
+    g = math.gcd(d, *a)
+    return (a, d) if g == 1 else ([x // g for x in a], d // g)
+
+
+def _zq_scale(A, n, d):
+    """A * n/d for ints n and d != 0."""
+    a, da = A
+    if d < 0:
+        n, d = -n, -d
+    return _zq_norm(a if n == 1 else [x * n for x in a], da * d)
+
+
+def _zq_add(A, B, sign=1):
+    """A + sign*B."""
+    (a, da), (b, db) = A, B
+    d = math.lcm(da, db)
+    ma, mb = d // da, sign * (d // db)
+    return _zq_norm(_zl_trim([x * ma + y * mb for x, y in zip_longest(a, b, fillvalue=0)]), d)
+
+
+def _zq_mul(A, B):
+    return _zq_norm(_zl_mul(A[0], B[0], 0), A[1] * B[1])
+
+
+def _zq_divmod(A, B):
+    """Quotient and remainder by a nonzero B, from s*a = q*b + r over Z."""
+    (a, da), (b, db) = A, B
+    if len(b) == 1:
+        return _zq_scale(A, db, b[0]), ([], 1)
+    s, q, r = _zl_pdivmod(a, b, 0)
+    return _zq_scale((q, da * s), db, 1), _zq_norm(r, da * s)
+
+
+def _zq_rem(A, B):
+    """Remainder by a nonzero B."""
+    if len(B[0]) == 1:
+        return [], 1
+    s, _, r = _zl_pdivmod(A[0], B[0], 0)
+    return _zq_norm(r, A[1] * s)
+
+
+def _zq_monic(A):
+    return _zq_scale((A[0], 1), 1, A[0][-1]) if A[0] else A
+
+
+def _zq_gcd(A, B):
+    """Monic gcd, by pseudo-remainders made primitive at each step; gcd(0, 0) = 0."""
+    a, b = A[0], B[0]
+    while b:
+        a, b = b, _zl_pdivmod(a, b, 0)[2]
+        g = math.gcd(*b)
+        if g > 1:
+            b = [x // g for x in b]
+    return _zq_monic((a, 1))
+
+
+def _zq_ext_gcd(A, B):
+    """(g, s, t) with g monic (or zero) and s*A + t*B = g."""
+    one, zero = ([1], 1), ([], 1)
+    r0, r1, s0, s1, t0, t1 = A, B, one, zero, zero, one
+    while r1[0]:
+        q, r = _zq_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _zq_add(s0, _zq_mul(q, s1), -1)
+        t0, t1 = t1, _zq_add(t0, _zq_mul(q, t1), -1)
+    if not r0[0]:
+        return r0, s0, t0
+    n, d = r0[1], r0[0][-1]
+    return _zq_monic(r0), _zq_scale(s0, n, d), _zq_scale(t0, n, d)
+
+
+def _zq_pow_mod(A, e, m):
+    """A**e mod a nonzero m; 1 for e = 0."""
+    if not e:
+        return [1], 1
+    base = result = _zq_rem(A, m)
+    for bit in bin(e)[3:]:
+        result = _zq_rem(_zq_mul(result, result), m)
+        if bit == "1":
+            result = _zq_rem(_zq_mul(result, base), m)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +415,15 @@ class Poly:
         return p
 
     @classmethod
+    def _from_zq(cls, field, A, var):
+        """Poly over the rational field `field` from a packed (a, d)."""
+        p = cls.__new__(cls)
+        p.field = field
+        p.coeffs = tuple(_zq_unpack(A))
+        p.var = var
+        return p
+
+    @classmethod
     def _from_packed(cls, R, P, var):
         """Poly over a kernel residue ring R from a reduced packed list."""
         p = cls.__new__(cls)
@@ -326,6 +476,9 @@ class Poly:
         F = self.field
         if type(F) is FqField:
             return Poly._from_ints(F, _zl_add(_ints(self), _ints(other), F.q), self.var)
+        if type(F) is RationalField:
+            A, B = _zq_pack(self.coeffs), _zq_pack(other.coeffs)
+            return Poly._from_zq(F, _zq_add(A, B), self.var)
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)], self.var)
 
@@ -338,6 +491,9 @@ class Poly:
         F = self.field
         if type(F) is FqField:
             return Poly._from_ints(F, _zl_sub(_ints(self), _ints(other), F.q), self.var)
+        if type(F) is RationalField:
+            A, B = _zq_pack(self.coeffs), _zq_pack(other.coeffs)
+            return Poly._from_zq(F, _zq_add(A, B, -1), self.var)
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.field, [self.coeff(i) - other.coeff(i) for i in range(n)], self.var)
 
@@ -354,6 +510,9 @@ class Poly:
         F = self.field
         if type(F) is FqField:
             return Poly._from_ints(F, _zl_mul(_ints(self), _ints(other), F.q), self.var)
+        if type(F) is RationalField:
+            A, B = _zq_pack(self.coeffs), _zq_pack(other.coeffs)
+            return Poly._from_zq(F, _zq_mul(A, B), self.var)
         if _on_kernel(F):
             return Poly._from_packed(F, _kr_mul(_kr_pack(self), _kr_pack(other), F), self.var)
         if self.is_zero() or other.is_zero():
@@ -388,6 +547,9 @@ class Poly:
         if type(F) is FqField:
             q, r = _zl_divmod(_ints(self), _ints(other), F.q)
             return Poly._from_ints(F, q, self.var), Poly._from_ints(F, r, self.var)
+        if type(F) is RationalField:
+            q, r = _zq_divmod(_zq_pack(self.coeffs), _zq_pack(other.coeffs))
+            return Poly._from_zq(F, q, self.var), Poly._from_zq(F, r, self.var)
         if _on_kernel(F):
             q, r = _kr_divmod(_kr_pack(self), _kr_pack(other), F)
             return Poly._from_packed(F, q, self.var), Poly._from_packed(F, r, self.var)
@@ -408,7 +570,15 @@ class Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        F = self.field
+        if type(F) is not RationalField:
+            return divmod(self, other)[1]
+        other = self._wrap(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        return Poly._from_zq(F, _zq_rem(_zq_pack(self.coeffs), _zq_pack(other.coeffs)), self.var)
 
     def __truediv__(self, other):
         """Division by a constant, or exact polynomial division."""
@@ -452,6 +622,8 @@ class Poly:
     def monic(self):
         if self.is_zero():
             raise DegenerateInputError("zero polynomial cannot be made monic")
+        if type(self.field) is RationalField:
+            return Poly._from_zq(self.field, _zq_monic(_zq_pack(self.coeffs)), self.var)
         inv = self.field.one() / self.lc()
         return Poly(self.field, [c * inv for c in self.coeffs], self.var)
 
@@ -485,9 +657,9 @@ def _on_kernel(F):
 
 
 def _kernel_field(a, b):
-    """a.field when a and b are polys over one F_q or one kernel residue ring, else None."""
+    """a.field when a and b are polys over one of Q, F_q or a kernel residue ring, else None."""
     F = a.field
-    if type(F) is not FqField and not _on_kernel(F):
+    if type(F) is not FqField and type(F) is not RationalField and not _on_kernel(F):
         return None
     if not isinstance(b, Poly) or (b.field is not F and b.field != F) or b.var != a.var:
         raise DegenerateInputError("mixed polynomial domains")
@@ -499,6 +671,8 @@ def poly_gcd(a, b):
     F = _kernel_field(a, b)
     if type(F) is FqField:
         return Poly._from_ints(F, _zl_gcd(_ints(a), _ints(b), F.q), a.var)
+    if type(F) is RationalField:
+        return Poly._from_zq(F, _zq_gcd(_zq_pack(a.coeffs), _zq_pack(b.coeffs)), a.var)
     if F is not None:
         return Poly._from_packed(F, _kr_gcd(_kr_pack(a), _kr_pack(b), F), a.var)
     while not b.is_zero():
@@ -512,6 +686,9 @@ def poly_ext_gcd(a, b):
     if type(F) is FqField:
         g, s, t = _zl_ext_gcd(_ints(a), _ints(b), F.q)
         return tuple([Poly._from_ints(F, c, a.var) for c in (g, s, t)])
+    if type(F) is RationalField:
+        gst = _zq_ext_gcd(_zq_pack(a.coeffs), _zq_pack(b.coeffs))
+        return tuple([Poly._from_zq(F, c, a.var) for c in gst])
     F, var = a.field, a.var
     one, zero = Poly(F, [F.one()], var), Poly(F, [], var)
     r0, r1, s0, s1, t0, t1 = a, b, one, zero, zero, one
@@ -565,6 +742,8 @@ def poly_pow_mod(a, e, m):
         raise ZeroDivisionError("polynomial division by zero")
     if type(F) is FqField:
         return Poly._from_ints(F, _zl_pow_mod(_ints(a), e, _ints(m), F.q), a.var)
+    if type(F) is RationalField:
+        return Poly._from_zq(F, _zq_pow_mod(_zq_pack(a.coeffs), e, _zq_pack(m.coeffs)), a.var)
     if F is not None:
         return Poly._from_packed(F, _kr_pow_mod(_kr_pack(a), e, _kr_pack(m), F), a.var)
     result = Poly(a.field, [a.field.one()], a.var)
@@ -590,9 +769,10 @@ class RatFunc:
         if num.is_zero():
             den = Poly(num.field, [num.field.one()], num.var)
         else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num, den = num // g, den // g
+            if den.degree() > 0:
+                g = poly_gcd(num, den)
+                if g.degree() > 0:
+                    num, den = num // g, den // g
             lc = den.lc()
             if lc != den.field.one():
                 num, den = num * (num.field.one() / lc), den.monic()

@@ -4,12 +4,19 @@ A base place pi is completely split in K = E[T]/(f) when the reduction of f
 modulo pi has deg(f) distinct simple roots in the residue field.  Candidates
 are enumerated in a canonical order per base (primes ascending; monic
 irreducibles by degree then coefficients; rational polynomials by coefficient
-height then degree), so searches are reproducible.  Residue fields here are
-either finite or number fields Q[x]/(pi); both admit a complete root count,
-so a place is never reported split on partial evidence.
+height then degree), so searches are reproducible.  Over F_q the search skips
+each degree layer d whose residue field F_{q^d} lacks roots of unity that
+every qualifying place needs: n | q^d - 1 for a binomial T^n - g with p not
+dividing n (the ratios of the n roots are n distinct n-th roots of unity),
+and 4 | q^d - 1 when a square root of -1 is required.  A skipped layer holds
+no qualifying place, so the places found do not change; only fewer
+candidates are tried.  Residue fields here are either finite or number
+fields Q[x]/(pi); both admit a complete root count, so a place is never
+reported split on partial evidence.
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,8 +102,11 @@ def height_tuples(n, height):
             yield tup
 
 
-def _candidate_uniformizers(base, budget):
-    """Ring-element candidates in canonical order; irreducibility pre-filtered."""
+def _candidate_uniformizers(base, budget, roots_of_unity=1):
+    """Ring-element candidates in canonical order; irreducibility pre-filtered.
+
+    Over F_q only degrees d with roots_of_unity | q^d - 1 are enumerated.
+    """
     size = budget.size_for(base.label)
     if base.kind == "Q":
         for p in primes(3):
@@ -109,6 +119,8 @@ def _candidate_uniformizers(base, budget):
         # candidate i has the base-q digits of i, lowest first, below a leading 1
         q = k.order()
         for deg in range(1, size + 1):
+            if (q**deg - 1) % roots_of_unity:
+                continue
             for i in range(q**deg):
                 low = [k.from_int(i // q**j % q) for j in range(deg)]
                 pi = Poly(k, low + [k.one()], "X")
@@ -222,6 +234,20 @@ def analyze_place(field, base_place):
     return SplitPlaceRecord(field, base_place, tuple(roots), nonreal, sqrtm1)
 
 
+def _roots_of_unity(field, require_sqrt_minus_one):
+    """An n with n | q^d - 1 at every qualifying place of degree d over F_q.
+
+    A binomial T^n - g with p not dividing n splits completely only where
+    F_{q^d} holds n n-th roots of unity; a square root of -1 needs 4 | q^d - 1.
+    """
+    k, f = field.base.k, field.f
+    if k is None or k == QQ:
+        return 1
+    n = f.degree()
+    binomial = n % k.q and f.coeff(0) and not any(f.coeffs[1:-1])
+    return math.lcm(n if binomial else 1, 4 if require_sqrt_minus_one else 1)
+
+
 def find_split_places(
     field, count=1, budget=None, require_nonreal=True, require_sqrt_minus_one=False
 ):
@@ -238,7 +264,8 @@ def find_split_places(
     budget = budget or SearchBudget()
     deadline = time.monotonic() + budget.wall_seconds
     records, tried = [], 0
-    for pi in _candidate_uniformizers(field.base, budget):
+    roots_of_unity = _roots_of_unity(field, require_sqrt_minus_one)
+    for pi in _candidate_uniformizers(field.base, budget, roots_of_unity):
         if tried >= budget.max_candidates or time.monotonic() > deadline:
             return SplitSearchResult(tuple(records), tried, True)
         tried += 1

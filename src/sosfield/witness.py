@@ -28,15 +28,23 @@ MINUS_ONE_HEIGHT = 10
 MINUS_ONE_CANDIDATES = 4000
 
 
+def _square_sum(field, terms):
+    value = field.zero()
+    for t in terms:
+        value = value + t * t
+    return value
+
+
 class SosExpr:
     """A formal sum of squares: terms (t_1, ..., t_s) standing for sum t_j^2.
 
     The value is computed once and cached; it is an invariant violation for
     the value to be zero, so characteristic-p cancellation is caught at
-    construction time.
+    construction time.  square_sum() gives the sum derived from the terms,
+    which a verifier compares with the cached value.
     """
 
-    __slots__ = ("field", "terms", "value")
+    __slots__ = ("field", "terms", "value", "_squares")
 
     def __init__(self, field, terms):
         coerced = []
@@ -47,14 +55,21 @@ class SosExpr:
             coerced.append(c)
         if not coerced:
             raise DegenerateInputError("a sum of squares needs at least one term")
-        value = field.zero()
-        for t in coerced:
-            value = value + t * t
+        value = _square_sum(field, coerced)
         if value == field.zero():
             raise DegenerateInputError("sum of squares degenerated to zero")
         self.field = field
         self.terms = tuple(coerced)
         self.value = value
+        self._squares = (self.terms, value)
+
+    def square_sum(self):
+        """sum t_j^2 of the current terms, squared once per terms tuple."""
+        terms, value = self._squares
+        if terms is not self.terms:
+            value = _square_sum(self.field, self.terms)
+            self._squares = (self.terms, value)
+        return value
 
     def __mul__(self, other):
         if not isinstance(other, SosExpr) or other.field != self.field:
@@ -248,14 +263,13 @@ def verify_certificate(cert):
             return CheckResult(False, "residue field is not nonreal")
         if rec.field != cert.field:
             return CheckResult(False, "record belongs to a different field")
-        field = cert.field
-        terms = [field.coerce(t) for t in cert.sos.terms]
+        field, sos = cert.field, cert.sos
+        terms = [field.coerce(t) for t in sos.terms]
         if not terms or any(t is None for t in terms):
             return CheckResult(False, "terms outside the field")
-        value = field.zero()
-        for t in terms:
-            value = value + t * t
-        if value != cert.sos.value:
+        # reading the certificate already squared its terms in sos.field
+        value = sos.square_sum() if sos.field == field else _square_sum(field, terms)
+        if value != sos.value:
             return CheckResult(False, "cached value differs from the sum of squares")
         if value == field.zero():
             return CheckResult(False, "sum of squares is zero")

@@ -205,6 +205,34 @@ def test_unbounded_exponents_exit_2(capsys, tmp_path):
     assert code == 2 and "bad modulus: exponent above" in err
 
 
+def test_sos_terms_squaring_to_zero_exit_2(capsys, tmp_path):
+    # 1 + 4 + 9 = 0 in F_7
+    doc = _fq_witness_doc()
+    doc["payload"]["sos_terms"] = ["1", "2", "3"]
+    code, err = _verify_exit(capsys, tmp_path, doc)
+    assert code == 2 and "sum of squares degenerated to zero" in err
+
+
+def test_sos_terms_squared_once_per_read_and_verify(capsys, tmp_path, monkeypatch):
+    import sosfield.witness as witness
+
+    calls, square_sum = [], witness._square_sum
+
+    def counted(F, terms):
+        calls.append(len(terms))
+        return square_sum(F, terms)
+
+    monkeypatch.setattr(witness, "_square_sum", counted)
+    K = _t2_minus_x(7)
+    cert = nonpyth_witness(K, find_split_places(K).records[0])
+    calls.clear()
+    # a fresh certificate is checked against the sum its construction made
+    assert witness.verify_certificate(cert).ok and calls == []
+    doc = json.loads(serialize(cert))
+    code, _ = _verify_exit(capsys, tmp_path, doc)
+    assert code == 0 and calls == [len(doc["payload"]["sos_terms"])]
+
+
 def test_reading_a_field_builds_it_once(monkeypatch):
     import sosfield.certs as certs
     import sosfield.extension as extension

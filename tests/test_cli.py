@@ -34,6 +34,18 @@ def test_witness_writes_verifiable_certificate(capsys, tmp_path):
     assert out.startswith("valid witness certificate")
 
 
+def test_witness_fq_10007_cubic_skips_degree_one(capsys, tmp_path):
+    # q = 2 mod 3: no degree-1 place splits T^3 - X, and the search skips that
+    # layer instead of trying all q of its candidates
+    path = tmp_path / "w.json"
+    code, out, _ = run(capsys, "witness", "--base", "Fq:10007", "--f", "T^3-X", "--out", str(path))
+    assert code == 0 and out.startswith("place X^2 + 1: roots [")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and out.startswith("valid witness certificate")
+    code, out, _ = run(capsys, "split-places", "--base", "Fq:10007", "--f", "T^3-X")
+    assert code == 0 and "tried 1 candidates" in out
+
+
 def test_witness_explicit_place_f7(capsys):
     code, out, _ = run(
         capsys, "witness", "--base", "Fq:7", "--f", "T^3-X", "--place", "X-1"

@@ -511,3 +511,168 @@ def test_residue_kernel_zero_divisor_factor():
             op(ga, gb)
         assert kernel.value.factor == generic.value.factor == Poly(FqField(101), [100, 1], "x")
         assert str(kernel.value) == str(generic.value)
+
+
+# ---------------------------------------------------------------------------
+# Poly over Q runs on the kernel over Z, packed over one common denominator.
+# A subclass of RationalField is equal to QQ but fails the kernel's type
+# check, so its polynomials take the generic Fraction path: the reference.
+
+
+class _GenericQQ(type(QQ)):
+    pass
+
+
+GQ = _GenericQQ()
+
+
+def _rand_rational(rng):
+    """Small, negative and over-2^64 numerators and denominators."""
+    size = rng.choice([3, 3, 3, 40, 70, 90])
+    num = rng.randint(-(2**size), 2**size)
+    return Fraction(num, rng.choice([1, 1, rng.randint(1, 2**size)]))
+
+
+def _q_cases(seed, count):
+    """Seeded (a, b) over QQ, T-degree -1 to 20, b nonzero: constant, monic or not."""
+    rng = random.Random(seed)
+    for _ in range(count):
+
+        def rand(lo):
+            d = rng.choice([lo, rng.randint(lo, 4), rng.randint(lo, 20)])
+            cs = [_rand_rational(rng) for _ in range(d)]
+            lead = rng.choice([Fraction(1), Fraction(-1), _rand_rational(rng) or Fraction(3, 7)])
+            return Poly(QQ, cs + [lead] if d >= 0 else [], "T")
+
+        yield rng, rand(-1), rand(0)
+
+
+def _generic(a):
+    return Poly(GQ, a.coeffs, a.var)
+
+
+def test_q_kernel_matches_generic():
+    for rng, a, b in _q_cases(21, 150):
+        ga, gb = _generic(a), _generic(b)
+        assert a.field == ga.field and ga.field is GQ
+        assert a * b == ga * gb and a * a == ga * ga
+        assert a + b == ga + gb and a - b == ga - gb and b - a == gb - ga
+        assert divmod(a, b) == divmod(ga, gb)
+        if a:
+            assert divmod(b, a) == divmod(gb, ga)
+            assert a.monic() == ga.monic()
+        m = b if b.degree() > 0 else b + Poly.gen(QQ, "T")
+        if a.degree() + b.degree() > 12:
+            # Bezout cofactors of random degree-20 inputs run to thousands of digits
+            continue
+        assert poly_gcd(a, b) == poly_gcd(ga, gb) and poly_gcd(b, a) == poly_gcd(gb, ga)
+        assert poly_ext_gcd(a, b) == poly_ext_gcd(ga, gb)
+        assert poly_ext_gcd(b, a) == poly_ext_gcd(gb, ga)
+        for e in (0, 1, 2, 7, rng.randrange(40)):
+            assert poly_pow_mod(a, e, m) == poly_pow_mod(ga, e, _generic(m))
+        for r in (a * b, a + b, *divmod(a, b), *poly_ext_gcd(a, b), poly_pow_mod(a, 3, m)):
+            assert r.field is QQ and r.var == "T"
+            assert all(type(c) is Fraction for c in r.coeffs)
+            assert not r.coeffs or r.coeffs[-1]
+
+
+def test_q_kernel_gcd_shares_factors():
+    # a common factor of large height survives the primitive remainder sequence
+    rng = random.Random(22)
+    for _ in range(30):
+
+        def rand(lo, hi, lead):
+            return Poly(QQ, [_rand_rational(rng) for _ in range(rng.randint(lo, hi))] + [lead], "T")
+
+        c = rand(1, 5, Fraction(2**70 + 1, 3))
+        a, b = c * rand(0, 6, Fraction(1)), c * rand(0, 6, Fraction(-5))
+        g = poly_gcd(a, b)
+        assert g == poly_gcd(_generic(a), _generic(b))
+        assert (g % c.monic()).is_zero() and (a % g).is_zero() and (b % g).is_zero()
+
+
+def test_q_kernel_zero_operands():
+    zero, a = Poly(QQ, [], "T"), Poly(QQ, [Fraction(1, 2), Fraction(-3), Fraction(4, 9)], "T")
+    gz, ga = _generic(zero), _generic(a)
+    assert zero * a == gz * ga == zero and a * zero == zero and zero + zero == zero
+    assert a - a == zero and zero - a == -a
+    assert divmod(zero, a) == divmod(gz, ga) == (zero, zero)
+    assert poly_gcd(zero, zero) == zero and poly_gcd(a, zero) == poly_gcd(ga, gz) == a.monic()
+    assert poly_ext_gcd(zero, zero) == poly_ext_gcd(gz, gz)
+    assert poly_ext_gcd(zero, a) == poly_ext_gcd(gz, ga)
+    assert poly_ext_gcd(a, zero) == poly_ext_gcd(ga, gz)
+    assert poly_pow_mod(zero, 3, a) == zero and poly_pow_mod(zero, 0, a) == Poly(QQ, [1], "T")
+    # a constant divisor divides through; a constant modulus leaves zero
+    c = Poly(QQ, [Fraction(-2, 3)], "T")
+    assert divmod(a, c) == divmod(ga, _generic(c)) and divmod(a, c)[0] * c == a
+    assert poly_pow_mod(a, 5, c) == zero and poly_pow_mod(a, 0, c) == Poly(QQ, [1], "T")
+    with pytest.raises(ZeroDivisionError):
+        divmod(a, zero)
+    with pytest.raises(ZeroDivisionError):
+        poly_pow_mod(a, 3, zero)
+    with pytest.raises(DegenerateInputError):
+        a * Poly(QQ, [1], "X")
+    with pytest.raises(DegenerateInputError):
+        poly_gcd(a, Poly(FqField(7), [1, 1], "T"))
+
+
+def _q_rings(pi):
+    """QuotientRing(QQ, pi) on the kernel, and its twin over the generic rationals."""
+    from sosfield.extension import QuotientRing
+
+    kernel = QuotientRing(QQ, Poly(QQ, pi, "x"))
+    generic = QuotientRing(GQ, Poly(GQ, pi, "x"))
+    assert kernel._qpi is not None and generic._qpi is None and kernel == generic
+    return kernel, generic
+
+
+def test_q_residue_ring_matches_generic():
+    from sosfield.extension import QuotElem
+
+    rng = random.Random(23)
+    for pi in (
+        [Fraction(1), Fraction(0), Fraction(1)],
+        [Fraction(-2), Fraction(0), Fraction(0), Fraction(1)],
+        [Fraction(3, 4), Fraction(-1, 2), Fraction(0), Fraction(1)],
+        [Fraction(2**70 + 3, 5), Fraction(1), Fraction(0), Fraction(0), Fraction(1)],
+        [Fraction(-7, 2**65), Fraction(1)],
+    ):
+        R, G = _q_rings(pi)
+        elems = [R.zero(), R.one(), R.gen()] + [
+            QuotElem(R, [_rand_rational(rng) for _ in range(R.deg)]) for _ in range(5)
+        ]
+        for x in elems:
+            gx = QuotElem(G, x.coords)
+            for y in elems[:4] + elems[-2:]:
+                gy = QuotElem(G, y.coords)
+                assert x * y == gx * gy and x + y == gx + gy and x - y == gx - gy
+                if y:
+                    assert x / y == gx / gy
+            for n in (0, 1, 2, 5, rng.randrange(30)):
+                assert x**n == gx**n
+            if x:
+                assert x.inverse() == gx.inverse() and x**-2 == gx**-2
+            p = Poly(QQ, [_rand_rational(rng) for _ in range(rng.randint(0, 9))], "x")
+            assert R.from_poly(p) == G.from_poly(Poly(GQ, p.coeffs, "x"))
+            for r in (x * x, x**3, R.from_poly(p), x.inverse() if x else x):
+                assert r.ring is R and len(r.coords) == R.deg
+                assert all(type(c) is Fraction for c in r.coords)
+
+
+def test_q_residue_ring_zero_divisor_factor():
+    from sosfield.extension import QuotElem
+
+    # x^3 - x/4 = x(x - 1/2)(x + 1/2): both paths report the same factor
+    R, G = _q_rings([Fraction(0), Fraction(-1, 4), Fraction(0), Fraction(1)])
+    x = R.gen()
+    for z in (x, x * x - Fraction(1, 4), 2 * x + 1):
+        with pytest.raises(ZeroDivisorError) as kernel:
+            z.inverse()
+        with pytest.raises(ZeroDivisorError) as generic:
+            QuotElem(G, z.coords).inverse()
+        assert kernel.value.factor == generic.value.factor
+        assert kernel.value.factor.field is QQ
+        assert str(kernel.value) == str(generic.value)
+        with pytest.raises(ZeroDivisorError):
+            R.one() / z
+    assert (x + 2).inverse() * (x + 2) == R.one()

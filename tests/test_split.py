@@ -228,3 +228,51 @@ def test_verify_split_place_rejects_tampering():
 
     moved = dataclasses.replace(rec, base_place=BasePlace(K.base, 3))
     assert not verify_split_place(moved).ok
+
+
+# ---------------------------------------------------------------------------
+# Over F_q the search skips degree layers that cannot hold a qualifying place.
+
+
+def _first_by_full_scan(K, require_sqrt_minus_one):
+    """(record, candidates tried) for the first qualifying place of an unskipped scan."""
+    from sosfield.split import _candidate_uniformizers
+
+    for tried, pi in enumerate(_candidate_uniformizers(K.base, SearchBudget()), 1):
+        rec = analyze_place(K, BasePlace(K.base, pi))
+        if rec is not None and (rec.sqrt_minus_one is not None or not require_sqrt_minus_one):
+            return rec, tried
+
+
+def _binomial(p, n, g):
+    """T^n - g(X) over F_p(X), g given by its coefficients in X."""
+
+    def f(E):
+        return Poly(E, [-E.coerce(Poly(E.k, g, "X"))] + [E.zero()] * (n - 1) + [E.one()], "T")
+
+    return _ff_field(p, f)
+
+
+@pytest.mark.parametrize("q", [5, 11, 17])
+def test_binomial_layer_skip_keeps_first_place(q):
+    for n, g in ((3, [0, 1]), (3, [2, 1, 1]), (4, [0, 1]), (4, [3, 0, 1]), (6, [1, 1])):
+        K = _binomial(q, n, g)
+        res = find_split_places(K, count=1)
+        rec, tried = _first_by_full_scan(K, False)
+        assert res.records[0] == rec
+        if (q - 1) % n:
+            # at least the q candidates X + a of the degree-1 layer are skipped
+            assert rec.base_place.uniformizer.degree() > 1
+            assert res.candidates_tried <= tried - q
+        else:
+            assert res.candidates_tried == tried
+
+
+@pytest.mark.parametrize("q", [3, 7])
+def test_sqrt_minus_one_skips_odd_layers(q):
+    for n, g in ((2, [0, 1]), (2, [1, 1]), (4, [0, 1])):
+        K = _binomial(q, n, g)
+        res = find_split_places(K, count=1, require_sqrt_minus_one=True)
+        rec, tried = _first_by_full_scan(K, True)
+        assert res.records[0] == rec and res.candidates_tried < tried
+        assert rec.base_place.uniformizer.degree() % 2 == 0 and rec.sqrt_minus_one is not None
