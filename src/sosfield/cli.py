@@ -1,11 +1,13 @@
 """Command-line front end: every pipeline behind one reproducible binary.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input, 3
-mathematical failure (search budget exhausted, undecided), 120 standard
-output closed before all output was written (e.g. `| head -1`), Python's own
-code for a failed final flush.  Output for a fixed argv is byte-identical
-across runs.  --seed only labels a written certificate (provenance.seed),
-except in two-squares, where it seeds Pollard rho.
+mathematical failure (search budget exhausted, undecided), 4 internal error
+(an exception that is not a SosfieldError: a defect in sosfield, reported on
+stderr as one line without a traceback), 120 standard output closed before
+all output was written (e.g. `| head -1`), Python's own code for a failed
+final flush.  Output for a fixed argv is byte-identical across runs.  --seed
+only labels a written certificate (provenance.seed), except in two-squares,
+where it seeds Pollard rho.
 """
 
 import argparse
@@ -315,6 +317,11 @@ def _run(args):
     except SosfieldError as e:
         print(f"failure: {e}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        raise  # main maps a closed stdout to 120
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 def main(argv=None):

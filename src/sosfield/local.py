@@ -19,7 +19,7 @@ from .fields import QQ, FqElem, FqField
 from .numtheory import is_prime
 from .poly import Poly, poly_ext_gcd
 
-PRECISION_START = 8
+PRECISION_START = 2
 PRECISION_CEILING = 2**14
 
 
@@ -222,6 +222,15 @@ class ExtPlace:
             )
         return self._cache.truncate(precision)
 
+    def root_offset(self):
+        """T - a, where a is the canonical lift of the residue root.
+
+        Its valuation is at least 1 here and 0 at every other place over the
+        same base place, since their residue roots differ from this one.
+        """
+        a = self.base_place.lift_residue(self.residue_root)
+        return self.field.gen() - self.field.from_base(self.field.base.from_ring(a))
+
     def __eq__(self, other):
         return (
             isinstance(other, ExtPlace)
@@ -241,8 +250,10 @@ def ext_valuation(place, x):
     """Exact valuation of a nonzero extension element at a split place.
 
     Clears denominators, evaluates the numerator polynomial at the lifted
-    root modulo pi**N, and reads the valuation; N doubles until the value is
-    certified below the working precision, up to PRECISION_CEILING.
+    root modulo pi**N, and reads the valuation.  N starts at PRECISION_START
+    = 2, the least that certifies a valuation of 1 (v < N), or at the
+    precision already cached for the place, and doubles until the value is
+    certified below it, up to PRECISION_CEILING.
     """
     field = place.field
     x = field.coerce(x)
@@ -308,57 +319,32 @@ def check_places(places):
     return field
 
 
-def approx_idempotents(places, precision):
-    """Lagrange elements e_i with e_i = delta_ij mod pi**precision at place j.
-
-    All places must sit over the same base place of the same field and carry
-    distinct residue roots.
-    """
-    if len(places) < 2:
-        raise DegenerateInputError("need at least two places")
-    field = check_places(places)
-    base = field.base
-    m = places[0].base_place.uniformizer_power(precision)
-    lifts = [w.lift(precision).value for w in places]
-    gen_poly = Poly.gen(field.F, field.var)
-    out = []
-    for i, ri in enumerate(lifts):
-        num = Poly.const(field.F, field.F.one(), field.var)
-        denom = base.ring_one()
-        for j, rj in enumerate(lifts):
-            if j == i:
-                continue
-            num = num * (gen_poly - Poly.const(field.F, base.from_ring(rj), field.var))
-            denom = (denom * (ri - rj)) % m
-        dinv = _mod_inverse(denom, m, base)
-        scaled = []
-        for c in num.coeffs:
-            rc = (base.to_ring(c) * dinv) % m
-            scaled.append(base.from_ring(rc))
-        out.append(field.from_poly(Poly(field.F, scaled, field.var)))
-    return out
-
-
 def weak_approx(places, targets):
     """Element z of the extension with ext_valuation(places[i], z) == targets[i].
 
-    Built from approximate idempotents; the result is verified at every place
-    before being returned.
+    z = pi^m * prod_i u_i^(t_i - m) with m = min(targets), so no element of
+    the extension is inverted.  u_i is root_offset() of place i, or T - a_i -
+    pi when the precision-2 lift of the root shows v_i(T - a_i) >= 2; either
+    way v_i(u_i) = 1 and v_j(u_i) = 0 for j != i, and pi has valuation 1 at
+    every place.  The result is verified at every place before being
+    returned.
     """
     if len(places) != len(targets) or not places:
         raise DegenerateInputError("need matching nonempty places and targets")
     if any(not isinstance(t, int) for t in targets):
         raise DegenerateInputError("targets must be integers")
-    field = places[0].field
-    pi_e = _uniformizer_in_field(field, places[0].base_place)
-    if len(places) == 1:
-        z = pi_e ** targets[0]
-    else:
-        spread = max(targets) - min(targets)
-        idems = approx_idempotents(places, max(PRECISION_START, spread + 2))
-        z = field.zero()
-        for t, e in zip(targets, idems):
-            z = z + pi_e**t * e
+    field = check_places(places)
+    bp = places[0].base_place
+    pi_e = _uniformizer_in_field(field, bp)
+    pi2 = bp.uniformizer_power(2)
+    m = min(targets)
+    z = pi_e**m
+    for w, t in zip(places, targets):
+        if t > m:
+            u = w.root_offset()
+            if not (w.lift(2).value - bp.lift_residue(w.residue_root)) % pi2:
+                u = u - pi_e
+            z = z * u ** (t - m)
     for w, t in zip(places, targets):
         if ext_valuation(w, z) != t:
             raise PrecisionExhaustedError("weak approximation failed verification")

@@ -1,13 +1,16 @@
 """Sums of squares with prescribed valuations, and the non-containment witness.
 
 The pipeline: a base place with nonreal residue field admits a sum of squares
-y in E of valuation exactly 1; combining y with weak-approximation elements
-hits any integer valuation vector across the split places; asking for an odd
-entry at exactly one place produces sigma in Sum(K^2) whose valuation parities
-differ between places, which no element of E*K^2 can do.  Certificates carry
-the construction and are re-verified from scratch, trusting nothing.
+y in E of valuation exactly 1; for a split place w_i with residue root lifted
+to a_i, y + (T - a_i)^2 has valuation 1 at w_i and 0 at the other places
+above, and squares of weak_approx elements close any even gap, so any integer
+valuation vector is hit.  Asking for an odd entry at exactly one place
+produces sigma in Sum(K^2) whose valuation parities differ between places,
+which no element of E*K^2 can do.  Certificates carry the construction and
+are re-verified from scratch, trusting nothing.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -19,7 +22,7 @@ from .errors import (
     SosfieldError,
 )
 from .fields import QQ
-from .local import check_places, ext_valuation, valuation_vector, weak_approx
+from .local import ValuationVector, check_places, ext_valuation, valuation_vector, weak_approx
 from .numtheory import legendre
 from .poly import Poly
 from .split import height_tuples, residue_is_nonreal, residue_sqrt, verify_split_place
@@ -173,10 +176,12 @@ def sos_uniformizer(place):
 def tau_hit(places, target):
     """A sum of squares sigma in K with prescribed valuations at the places.
 
-    Odd coordinates each contribute a factor y + z^2 (valuation 1 there, 0
-    elsewhere); the remaining even gap is closed by scaling with a square of
-    a weak-approximation element.  The achieved vector is verified before
-    returning.
+    Each odd coordinate i contributes the factor y + (T - a_i)^2, with y from
+    sos_uniformizer and T - a_i = places[i].root_offset(): (T - a_i)^2 has
+    valuation at least 2 at place i and 0 at the others, so the factor has
+    valuation 1 at i and 0 elsewhere.  The remaining even gap is closed by
+    scaling with the square of a weak_approx element.  The finished sigma is
+    checked against the target before returning.
     """
     places = list(places)
     field = check_places(places)
@@ -187,22 +192,15 @@ def tau_hit(places, target):
     if odd:
         y_expr = sos_uniformizer(places[0].base_place)
         y_terms = [field.from_base(t) for t in y_expr.terms]
-        sigma = None
-        for i in odd:
-            z = weak_approx(places, [1 if j == i else 0 for j in range(len(places))])
-            piece = SosExpr(field, y_terms + [z])
-            sigma = piece if sigma is None else sigma * piece
+        pieces = [SosExpr(field, y_terms + [places[i].root_offset()]) for i in odd]
+        sigma = functools.reduce(SosExpr.__mul__, pieces)
     else:
         sigma = SosExpr(field, [field.one()])
-    current = valuation_vector(places, sigma.value)
-    gap = [t - c for t, c in zip(target, current.values)]
-    if any(g % 2 for g in gap):
-        raise SosfieldError("parity bookkeeping failed in tau_hit")
-    if any(gap):
-        z0 = weak_approx(places, [g // 2 for g in gap])
-        sigma = sigma.scale_square(z0)
-    achieved = valuation_vector(places, sigma.value)
-    if achieved.values != tuple(target):
+    # the pieces give t % 2 at each place, so the even gap is 2 * (t // 2)
+    halves = [t // 2 for t in target]
+    if any(halves):
+        sigma = sigma.scale_square(weak_approx(places, halves))
+    if valuation_vector(places, sigma.value).values != tuple(target):
         raise PrecisionExhaustedError("constructed element missed its target valuations")
     return sigma
 
@@ -226,7 +224,8 @@ def nonpyth_witness(field, record):
     """Certificate that Sum(K^2) is not contained in E*K^2.
 
     Builds sigma with valuation 1 at the record's first place and 0 at the
-    others, then re-verifies the finished certificate before returning it.
+    others (tau_hit has checked that vector), then re-verifies the finished
+    certificate on fresh places before returning it.
     """
     if record.field != field:
         raise DegenerateInputError("record belongs to a different field")
@@ -237,9 +236,8 @@ def nonpyth_witness(field, record):
     places = record.ext_places()
     target = [1] + [0] * (len(places) - 1)
     sos = tau_hit(places, target)
-    cert = WitnessCertificate(
-        field, record, sos, valuation_vector(places, sos.value), 0
-    )
+    vals = ValuationVector(places, tuple(target))
+    cert = WitnessCertificate(field, record, sos, vals, 0)
     check = verify_certificate(cert)
     if not check:
         raise SosfieldError(f"fresh certificate failed verification: {check.reason}")

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from sosfield import cli
 from sosfield.cli import _build_parser, main
 
 
@@ -412,18 +413,58 @@ def test_verify_every_kind(capsys, tmp_path, kind, argv, tamper):
     assert code == 1 and out.startswith(f"INVALID {kind} certificate")
 
 
+def _tamper_witness(payload, how):
+    if how == "swap-valuations":
+        v = payload["valuations"]
+        v[0], v[1] = v[1], v[0]
+    elif how == "parity-index":
+        payload["parity_index"] = 1
+    else:  # wrong-root: a Q-base residue root moved off the root set
+        roots = payload["place"]["residue_roots"]
+        roots[0] = str((int(roots[0]) + 1) % payload["place"]["uniformizer"])
+
+
+@pytest.mark.parametrize(
+    "base, f, how",
+    [
+        ("Q", "T^2-3*T-3", "swap-valuations"),
+        ("Q", "T^3-5*T-5", "parity-index"),
+        ("Q", "T^4+7*T+7", "wrong-root"),
+        ("Fq:5", "T^2-X", "swap-valuations"),
+        ("Fq:7", "T^3-(X+1)", "parity-index"),
+        ("Fq:11", "T^2-(X^2+1)", "swap-valuations"),
+        ("Fq:13", "T^3-(X^2+X+1)", "parity-index"),
+        ("Fq:19", "T^2-(X+3)", "swap-valuations"),
+        ("Fq:23", "T^3-(X+5)", "parity-index"),
+    ],
+)
+def test_verify_rejects_tampered_closed_form_witness(capsys, tmp_path, base, f, how):
+    path = tmp_path / "w.json"
+    code, _, _ = run(capsys, "witness", "--base", base, "--f", f, "--out", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and out.startswith("valid witness certificate")
+    doc = json.loads(path.read_text())
+    _tamper_witness(doc["payload"], how)
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1 and out.startswith("INVALID")
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
         (["--base", "Fq:41", "--f", "T^3-(7*X+35)"],
-         "40f6f6fe8554f0d2ffdd983ed60d04788dc12beca5e1180572a98d9dc604ae4b"),
+         "d2a519203194fd7971047018f69e9f835b648ffe135415d9183845ff65bac9a4"),
         (["--base", "Fq:101", "--f", "T^3-X"],
-         "6d3ad59cccf2fc46620f0286192b3ae15c435c6307cf865a69f183226b295211"),
+         "6eee61b697c1c5fb3b1f1b0fc042e01067f4e54c5682732be7e768717a309221"),
     ],
+    ids=["Fq41", "Fq101"],
 )
 def test_witness_stdout_golden(capsys, argv, digest):
-    # SHA-256 of the stdout of the generic residue-field path, before residue
-    # fields F_q[x]/(pi) moved onto the int kernel
+    # SHA-256 of the stdout, pinned when the odd entry of sigma became the
+    # closed form y + (T - a)^2, which changed sigma and its terms; the place
+    # lines are the same as before
     code, out, _ = run(capsys, "witness", *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -449,7 +490,19 @@ def test_verify_rejects_tampered_sqrt_minus_one(capsys, tmp_path, sqrt_minus_one
     assert code == 1 and out == f"INVALID witness certificate: split record: {reason}\n"
 
 
+def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "hilbert_symbol", broken)
+    code, out, err = run(capsys, "hilbert", "-a", "-1", "-b", "-1", "-p", "2")
+    assert code == 4 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
 def test_closed_stdout_exits_120_without_traceback():
+    # the BrokenPipeError is raised inside the command, so this also checks
+    # that the internal-error handler (exit 4) lets it through to main
     # the second line is far longer than a pipe buffer, so the child is still
     # writing it when the reader closes the pipe after the first line
     terms = ",".join(["1"] * 10001)

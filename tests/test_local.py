@@ -8,6 +8,7 @@ from sosfield.errors import (
     InfiniteValuationError,
     PrecisionExhaustedError,
 )
+from sosfield.certs import parse_field
 from sosfield.extension import ExtField, GlobalBase
 from sosfield.fields import QQ, FqField
 from sosfield.local import (
@@ -15,7 +16,6 @@ from sosfield.local import (
     BasePlace,
     ExtPlace,
     ValuationVector,
-    approx_idempotents,
     ext_valuation,
     hensel_lift_root,
     valuation_vector,
@@ -227,23 +227,6 @@ def test_valuation_vector_parity():
     assert valuation_vector(places, K.from_int(7)).is_constant_parity()
 
 
-def test_approx_idempotents():
-    K = _sqrt2_field()
-    bp = BasePlace(_q_base(), 7)
-    places = [ExtPlace(K, bp, 3), ExtPlace(K, bp, 4)]
-    N = 6
-    idems = approx_idempotents(places, N)
-    for i, e in enumerate(idems):
-        for j, w in enumerate(places):
-            delta = e - K.one() if i == j else e
-            if delta:
-                assert ext_valuation(w, delta) >= N
-    with pytest.raises(DegenerateInputError):
-        approx_idempotents(places[:1], N)
-    with pytest.raises(DegenerateInputError):
-        approx_idempotents([places[0], places[0]], N)
-
-
 def test_weak_approx_hits_targets():
     K = _sqrt2_field()
     bp = BasePlace(_q_base(), 7)
@@ -257,6 +240,34 @@ def test_weak_approx_hits_targets():
         weak_approx(places, [1])
     with pytest.raises(DegenerateInputError):
         weak_approx(places, ["x", "y"])
+    with pytest.raises(DegenerateInputError):
+        weak_approx([places[0], places[0]], [1, 0])
+
+
+def test_weak_approx_random_targets(split_field):
+    _, rec = split_field
+    rng = random.Random(repr(rec.field))
+    for _ in range(6):
+        targets = [rng.randint(-4, 4) for _ in rec.roots]
+        z = weak_approx(rec.ext_places(), targets)
+        # read back on fresh places, so no cached lift is shared
+        assert valuation_vector(rec.ext_places(), z).values == tuple(targets)
+
+
+def test_weak_approx_root_offset_of_valuation_two():
+    # 3^2 - 58 = -49, so the 7-adic root of T^2 - 58 near 3 is 3 mod 49:
+    # v(T - 3) >= 2 there, and weak_approx uses T - 3 - 7 instead
+    K = parse_field(GlobalBase("Q"), "T^2-58")
+    bp = BasePlace(K.base, 7)
+    w3, w4 = ExtPlace(K, bp, 3), ExtPlace(K, bp, 4)
+    t = K.gen()
+    assert w3.root_offset() == t - 3 and w4.root_offset() == t - 4
+    assert ext_valuation(w3, t - 3) >= 2
+    assert weak_approx([w3, w4], [1, 0]) == t - 10
+    assert weak_approx([w3, w4], [0, 1]) == t - 4
+    for targets in ((1, 0), (0, 1), (3, -2), (-1, 4)):
+        z = weak_approx([w3, w4], list(targets))
+        assert valuation_vector([ExtPlace(K, bp, 3), ExtPlace(K, bp, 4)], z).values == targets
 
 
 def test_precision_ceiling_raises():

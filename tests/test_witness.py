@@ -8,11 +8,12 @@ import pytest
 from sosfield.errors import DegenerateInputError
 from sosfield.extension import ExtField, GlobalBase, QuotElem, QuotientRing
 from sosfield.fields import QQ, FqField, field_sqrt
-from sosfield.local import BasePlace, valuation_vector
+from sosfield.local import BasePlace, ValuationVector, valuation_vector
 from sosfield.poly import Poly
 from sosfield.split import analyze_place, find_split_places
 from sosfield.witness import (
     SosExpr,
+    WitnessCertificate,
     _minus_one_squares,
     nonpyth_witness,
     sos_uniformizer,
@@ -165,6 +166,22 @@ def test_tau_hit_random_targets():
         for t in sigma.terms:
             acc = acc + t * t
         assert acc == sigma.value
+
+
+def test_closed_form_piece_at_every_place(split_field):
+    K, rec = split_field
+    places = rec.ext_places()
+    y = sos_uniformizer(rec.base_place)
+    T = K.gen()
+    for i, w in enumerate(places):
+        a = K.from_base(K.base.from_ring(rec.base_place.lift_residue(w.residue_root)))
+        indicator = tuple(int(j == i) for j in range(len(places)))
+        value = K.from_base(y.value) + (T - a) ** 2
+        assert valuation_vector(rec.ext_places(), value).values == indicator
+        sigma = tau_hit(places, indicator)
+        assert sigma.value == value and sigma.terms[-1] == T - a
+        cert = WitnessCertificate(K, rec, sigma, ValuationVector(places, indicator), i)
+        assert verify_certificate(cert).ok
 
 
 def test_tau_hit_input_validation():
