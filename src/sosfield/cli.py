@@ -46,6 +46,15 @@ def _place_summary(rec):
     return f"place {pi}: roots [{roots}], nonreal={rec.nonreal}, sqrt(-1)={s}"
 
 
+def _stopped_by(res, field, budget):
+    """The budget that ended an exhausted search, for its exit-3 line."""
+    if res.stopped_by == "max_candidates":
+        return f"max_candidates = {budget.max_candidates}"
+    if res.stopped_by == "max_size":
+        return f"max_size = {budget.size_for(field.base.label)}"
+    return f"wall_seconds = {budget.wall_seconds:g}, so this result depends on machine speed"
+
+
 def _emit(args, cert):
     if args.out:
         write_certificate(args.out, cert, seed=args.seed)
@@ -54,7 +63,7 @@ def _emit(args, cert):
 
 def _cmd_split_places(args):
     field = parse_field(GlobalBase.from_label(args.base), args.f)
-    budget = SearchBudget(max_candidates=args.max_candidates) if args.max_candidates else None
+    budget = SearchBudget(max_candidates=args.max_candidates or SearchBudget.max_candidates)
     res = find_split_places(
         field,
         count=args.count,
@@ -68,7 +77,7 @@ def _cmd_split_places(args):
     if len(res.records) < args.count:
         print(
             f"failure: found {len(res.records)} of {args.count} places "
-            "before the search budget ran out",
+            f"before the search budget ran out ({_stopped_by(res, field, budget)})",
             file=sys.stderr,
         )
         return 3
@@ -87,9 +96,11 @@ def _cmd_witness(args):
             print("failure: the requested place has a real residue field", file=sys.stderr)
             return 3
     else:
-        res = find_split_places(field, count=1, require_nonreal=True)
+        budget = SearchBudget()
+        res = find_split_places(field, count=1, budget=budget, require_nonreal=True)
         if not res.records:
-            print("failure: no completely split nonreal place in budget", file=sys.stderr)
+            why = _stopped_by(res, field, budget)
+            print(f"failure: no completely split nonreal place in budget ({why})", file=sys.stderr)
             return 3
         rec = res.records[0]
     cert = nonpyth_witness(field, rec)

@@ -11,12 +11,14 @@ modulus is detected lazily: inverting a zero divisor raises ZeroDivisorError
 carrying the discovered factor.
 """
 
+import functools
 import math
 import re
 from fractions import Fraction
 
 from .errors import DegenerateInputError, ZeroDivisorError, clipped
 from .fields import QQ, FqElem, FqField, RationalField
+from .numtheory import trial_divide
 from .poly import (
     Poly,
     RatFunc,
@@ -428,13 +430,43 @@ def _ratfunc_roots(base, f):
     return roots
 
 
+def _eisenstein(base, f):
+    """Whether a monic f with base-ring coefficients is Eisenstein at some prime.
+
+    f is Eisenstein at p when p divides every non-leading coefficient and p^2
+    does not divide f(0).  With G the gcd of the non-leading coefficients and
+    h = f(0)/G, those are the primes of exponent 1 in G that do not divide h,
+    so the primes shared with h are divided out of G first.  Over k[X] a
+    squarefree G (G' != 0, gcd(G, G') = 1) then needs no factoring; over Z,
+    trial division of G must find such a prime.  False means only "not shown".
+    """
+    coeffs = [base.to_ring(c) for c in f.coeffs[:-1]]
+    if not coeffs[0]:
+        return False
+    if base.kind == "Q":
+        G = math.gcd(*coeffs)
+        h = coeffs[0] // G
+        while (g := math.gcd(G, h)) > 1:
+            G //= g
+        return 1 in trial_divide(G)[0].values()
+    G = functools.reduce(poly_gcd, coeffs)
+    h = coeffs[0] // G
+    while (g := poly_gcd(G, h)).degree() > 0:
+        G //= g
+    dG = G.derivative()
+    return bool(dG) and poly_gcd(G, dG).degree() == 0
+
+
 def verify_irreducible(base, f):
     """Try to decide irreducibility of a monic f with base-ring coefficients.
 
-    Returns (status, factor): status is 'verified' or 'asserted'; a discovered
-    proper factor is returned instead of raising so callers can report it.
+    Returns (status, factor): status is 'verified', 'reducible' or 'asserted';
+    a discovered proper factor is returned instead of raising so callers can
+    report it.  Eisenstein's criterion (gcds only) runs first and settles every
+    T^n - g with g squarefree and nonconstant; then Q runs factor_q, and k(X)
+    looks for roots up to degree 3, leaving a non-Eisenstein f 'asserted' above.
     """
-    if f.degree() == 1:
+    if f.degree() == 1 or _eisenstein(base, f):
         return "verified", None
     if base.kind == "Q":
         from .factor import factor_q
@@ -480,8 +512,9 @@ class ExtField(QuotientRing):
     def decide_irreducibility(self, required):
         """Run verify_irreducible on f and record its status.
 
-        Raises DegenerateInputError when f is reducible, or when it stays
-        undecided and `required` is set.
+        Eisenstein fields are 'verified' by gcds alone.  Raises
+        DegenerateInputError when f is reducible, or when it stays undecided
+        (a non-Eisenstein f of degree > 3 over k(X)) and `required` is set.
         """
         status, factor = verify_irreducible(self.base, self.f)
         if status == "reducible":

@@ -114,6 +114,8 @@ class BasePlace:
             if not den:
                 raise DegenerateInputError("element is not integral at this place")
             return FqElem(e.numerator * pow(den, -1, p), p)
+        if e.is_poly():  # den is monic, so it is 1
+            return self.reduce_ring(e.num)
         dbar = self.reduce_ring(e.den)
         if not dbar:
             raise DegenerateInputError("element is not integral at this place")

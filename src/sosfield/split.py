@@ -74,6 +74,7 @@ class SplitSearchResult:
     records: tuple
     candidates_tried: int
     exhausted: bool
+    stopped_by: str = None  # SearchBudget field that ended an exhausted search
 
 
 def _rational_coeff_pool(height):
@@ -256,8 +257,8 @@ def find_split_places(
     require_nonreal keeps only places whose residue field is nonreal (always
     true for finite residue fields); require_sqrt_minus_one additionally
     demands an explicit square root of -1 in the residue field.  The result
-    flags exhaustion when the budget ran out first; found records are still
-    returned.
+    flags exhaustion when the budget ran out first, and names that budget;
+    found records are still returned.
     """
     if count < 1:
         raise DegenerateInputError("count must be positive")
@@ -266,8 +267,10 @@ def find_split_places(
     records, tried = [], 0
     roots_of_unity = _roots_of_unity(field, require_sqrt_minus_one)
     for pi in _candidate_uniformizers(field.base, budget, roots_of_unity):
-        if tried >= budget.max_candidates or time.monotonic() > deadline:
-            return SplitSearchResult(tuple(records), tried, True)
+        if tried >= budget.max_candidates:
+            return SplitSearchResult(tuple(records), tried, True, "max_candidates")
+        if time.monotonic() > deadline:
+            return SplitSearchResult(tuple(records), tried, True, "wall_seconds")
         tried += 1
         rec = analyze_place(field, BasePlace(field.base, pi))
         if rec is None or (require_nonreal and not rec.nonreal):
@@ -277,7 +280,7 @@ def find_split_places(
         records.append(rec)
         if len(records) == count:
             return SplitSearchResult(tuple(records), tried, False)
-    return SplitSearchResult(tuple(records), tried, True)
+    return SplitSearchResult(tuple(records), tried, True, "max_size")
 
 
 def verify_split_place(record):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from sosfield import cli
 from sosfield.cli import _build_parser, main
+from sosfield.split import SearchBudget
 
 
 def run(capsys, *argv):
@@ -65,10 +67,22 @@ def test_witness_place_not_split(capsys):
 
 
 def test_witness_conditional_note(capsys):
-    # degree > 3 over a function field: irreducibility is only asserted
-    code, out, _ = run(capsys, "witness", "--base", "Fq:5", "--f", "T^4-X")
+    # a non-Eisenstein quartic over a function field: irreducibility is only
+    # asserted (T^4 + T + X is irreducible, being linear in X)
+    code, out, _ = run(capsys, "witness", "--base", "Fq:5", "--f", "T^4+T+X")
     assert code == 0
     assert "note: conditional" in out
+
+
+def test_eisenstein_quartic_witness_is_verified(capsys, tmp_path):
+    path = tmp_path / "q4.json"
+    code, out, _ = run(capsys, "witness", "--base", "Fq:5", "--f", "T^4-X", "--out", str(path))
+    assert code == 0
+    assert "note:" not in out
+    assert json.loads(path.read_text())["payload"]["field"]["irreducibility"] == "verified"
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert out.strip().endswith("(ok)")
 
 
 def test_split_places_output(capsys):
@@ -92,6 +106,16 @@ def test_split_places_budget_failure(capsys):
     assert code == 3
     assert "tried 2 candidates" in out
     assert "found 0 of 1" in err
+    assert "(max_candidates = 2)" in err
+
+
+def test_wall_budget_is_named_on_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SearchBudget", functools.partial(SearchBudget, wall_seconds=0))
+    for argv in (("split-places", "--max-candidates", "5"), ("witness",)):
+        code, out, err = run(capsys, *argv, "--base", "Q", "--f", "T^2-2")
+        assert code == 3, argv
+        assert "wall_seconds = 0, so this result depends on machine speed" in err, argv
+        assert "place" not in out, argv
 
 
 def test_verify_tampered_witness(capsys, tmp_path):

@@ -126,8 +126,14 @@ def test_verify_irreducible_statuses():
     assert verify_irreducible(b5, _ff_poly(b5, [[0, -1], [0], [1]]))[0] == "verified"
     st, factor = verify_irreducible(b5, _ff_poly(b5, [[0, 0, -1], [0], [1]]))
     assert st == "reducible"  # T^2 - X^2 has root X
-    # degree > 3 over a function field is only asserted
-    assert verify_irreducible(b5, _ff_poly(b5, [[0, -1], [0], [0], [0], [1]]))[0] == "asserted"
+    # a non-Eisenstein quartic over a function field is only asserted
+    assert verify_irreducible(b5, _ff_poly(b5, [[0, 1], [1], [0], [0], [1]]))[0] == "asserted"
+    # Eisenstein at X proves binomials of any degree
+    assert verify_irreducible(b5, _ff_poly(b5, [[0, -1], [0], [0], [0], [1]]))[0] == "verified"
+    b7 = _base_ff(7)
+    assert verify_irreducible(b7, _ff_poly(b7, [[0, -1]] + [[0]] * 4 + [[1]]))[0] == "verified"
+    bqx = GlobalBase("FF", QQ)
+    assert verify_irreducible(bqx, _ff_poly(bqx, [[0, -1]] + [[0]] * 5 + [[1]]))[0] == "verified"
 
 
 def test_extfield_rejects_bad_input():
@@ -135,7 +141,7 @@ def test_extfield_rejects_bad_input():
         ExtField(GlobalBase("Q"), _over_q([-1, 0, 1]))  # reducible
     with pytest.raises(DegenerateInputError):
         ExtField(GlobalBase("Q"), Poly(QQ, [Fraction(1, 2), Fraction(1)], "T"))
-    f = _ff_poly(_base_ff(5), [[0, -1], [0], [0], [0], [1]])
+    f = _ff_poly(_base_ff(5), [[0, 1], [1], [0], [0], [1]])  # T^4 + T + X, not Eisenstein
     K = ExtField(_base_ff(5), f, irreducibility="asserted")
     assert K.irreducibility_status == "asserted"
     with pytest.raises(DegenerateInputError):

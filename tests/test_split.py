@@ -168,8 +168,15 @@ def test_budget_exhaustion():
     K = _sqrt2_field()
     res = find_split_places(K, count=3, budget=SearchBudget(max_candidates=2))
     assert res.exhausted
+    assert res.stopped_by == "max_candidates"
     assert res.candidates_tried == 2
     assert res.records == ()
+    # the first split place of T^2 - 2 is 7: primes up to 5 run out first
+    res = find_split_places(K, budget=SearchBudget(max_size=5))
+    assert (res.stopped_by, res.candidates_tried) == ("max_size", 2)
+    res = find_split_places(K, budget=SearchBudget(wall_seconds=0))
+    assert (res.exhausted, res.stopped_by, res.candidates_tried) == (True, "wall_seconds", 0)
+    assert find_split_places(K).stopped_by is None
     with pytest.raises(DegenerateInputError):
         find_split_places(K, count=0)
 
