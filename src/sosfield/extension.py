@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DegenerateInputError, ZeroDivisorError, clipped
 from .fields import QQ, FqElem, FqField, RationalField
-from .numtheory import trial_divide
+from .numtheory import _PSI_13, is_prime, trial_divide
 from .poly import (
     Poly,
     RatFunc,
@@ -438,7 +438,8 @@ def _eisenstein(base, f):
     h = f(0)/G, those are the primes of exponent 1 in G that do not divide h,
     so the primes shared with h are divided out of G first.  Over k[X] a
     squarefree G (G' != 0, gcd(G, G') = 1) then needs no factoring; over Z,
-    trial division of G must find such a prime.  False means only "not shown".
+    trial division to 10^4 must find such a prime or leave a prime cofactor,
+    which is_prime proves below psi_13.  False means only "not shown".
     """
     coeffs = [base.to_ring(c) for c in f.coeffs[:-1]]
     if not coeffs[0]:
@@ -448,7 +449,8 @@ def _eisenstein(base, f):
         h = coeffs[0] // G
         while (g := math.gcd(G, h)) > 1:
             G //= g
-        return 1 in trial_divide(G)[0].values()
+        small, rest = trial_divide(G, 10**4)
+        return 1 in small.values() or (rest < _PSI_13 and is_prime(rest))
     G = functools.reduce(poly_gcd, coeffs)
     h = coeffs[0] // G
     while (g := poly_gcd(G, h)).degree() > 0:

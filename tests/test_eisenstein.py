@@ -146,6 +146,10 @@ def test_eisenstein_over_qx_agrees_with_sympy():
         ("Q", "T^2-8", False, "verified"),  # 8 = 2^3: factor_q decides
         ("Q", "T^2-72", False, "verified"),  # 72 = 2^3 * 3^2
         ("Q", "T^2-12", True, "verified"),  # 12 = 2^2 * 3: Eisenstein at 3
+        ("Q", "T^2-1000000000039", True, "verified"),  # a prime past the trial bound
+        ("Q", "T^2-4000000000156", True, "verified"),  # 2^2 times that prime
+        ("Q", "T^3-1000000000000000000000000000057", False, "verified"),  # prime past psi_13
+        ("Q", "T^2-1000036000099", False, "verified"),  # 1000003 * 1000033: not factored
         ("Q", "T^2-4", False, "reducible"),
         ("Q", "(T-1)^4", False, "reducible"),
         ("Fq:7", "T^4-X^2", False, "asserted"),  # reducible, but above degree 3
