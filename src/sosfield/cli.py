@@ -62,6 +62,9 @@ def _emit(args, cert):
 
 
 def _cmd_split_places(args):
+    if args.max_candidates < 0:
+        cap = args.max_candidates
+        raise ParseError(f"--max-candidates must be >= 0 (0 = library default), not {cap}")
     field = parse_field(GlobalBase.from_label(args.base), args.f)
     budget = SearchBudget(max_candidates=args.max_candidates or SearchBudget.max_candidates)
     res = find_split_places(

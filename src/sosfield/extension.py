@@ -3,12 +3,13 @@
 A GlobalBase is E = Q (ring Z) or E = k(X) (ring k[X]) with k in {Q, F_q}.
 An extension K = E[T]/(f) is a QuotientRing over the fraction field of the
 base; the same QuotientRing machinery also serves residue fields k[x]/(pi).
-Over k = F_p, QuotElem arithmetic runs on poly.py's int kernel mod p; over Q
-(number fields Q[T]/(f) and the residue fields Q[x]/(pi) of Q(X)) products,
-inverses and powers run on the same kernel over Z, packed over one
-denominator; over k(X) it runs on the generic Poly path.  Reducibility of a
-modulus is detected lazily: inverting a zero divisor raises ZeroDivisorError
-carrying the discovered factor.
+QuotElem arithmetic runs on the kernel that poly._kernel picks for the
+coefficient field (int lists mod p over F_p; ints over one denominator over
+Q, for number fields Q[T]/(f) and the residue fields Q[x]/(pi) of Q(X);
+lists of RatFunc over k(X)): a product is one mulrem by the packed modulus,
+an inverse one extended gcd and a power one modular square-and-multiply.
+Reducibility of a modulus is detected lazily: inverting a zero divisor
+raises ZeroDivisorError carrying the discovered factor.
 """
 
 import functools
@@ -17,27 +18,14 @@ import re
 from fractions import Fraction
 
 from .errors import DegenerateInputError, ZeroDivisorError, clipped
-from .fields import QQ, FqElem, FqField, RationalField
+from .fields import QQ, FqField
 from .numtheory import _PSI_13, is_prime, trial_divide
 from .poly import (
     Poly,
     RatFunc,
     RatFuncField,
-    _ints,
-    _kr_inverse,
-    _zl_add,
-    _zl_mul,
-    _zl_pow_mod,
-    _zl_rem,
-    _zl_sub,
-    _zq_ext_gcd,
-    _zq_mul,
-    _zq_pack,
-    _zq_pow_mod,
-    _zq_rem,
-    _zq_unpack,
+    _kernel,
     discriminant,
-    poly_ext_gcd,
     poly_gcd,
     resultant,
 )
@@ -144,9 +132,6 @@ class QuotElem:
         """The canonical representative polynomial, degree < deg m."""
         return Poly(self.ring.F, self.coords, self.ring.var)
 
-    def _ints(self):
-        return [c.val for c in self.coords]
-
     def _wrap(self, other):
         if isinstance(other, QuotElem):
             if other.ring is not self.ring and other.ring != self.ring:
@@ -160,9 +145,8 @@ class QuotElem:
         if other is NotImplemented:
             return NotImplemented
         R = self.ring
-        if R._pi is not None:
-            return R._from_ints(_zl_add(self._ints(), other._ints(), R.F.q))
-        return QuotElem(R, [a + b for a, b in zip(self.coords, other.coords)])
+        k = R._k
+        return R._make(k.add(k.pack(self.coords), k.pack(other.coords)))
 
     __radd__ = __add__
 
@@ -171,31 +155,24 @@ class QuotElem:
         if other is NotImplemented:
             return NotImplemented
         R = self.ring
-        if R._pi is not None:
-            return R._from_ints(_zl_sub(self._ints(), other._ints(), R.F.q))
-        return QuotElem(R, [a - b for a, b in zip(self.coords, other.coords)])
+        k = R._k
+        return R._make(k.sub(k.pack(self.coords), k.pack(other.coords)))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
         R = self.ring
-        if R._pi is not None:
-            return R._from_ints(_zl_sub([], self._ints(), R.F.q))
-        return QuotElem(R, [-a for a in self.coords])
+        k = R._k
+        return R._make(k.sub(k.zero, k.pack(self.coords)))
 
     def __mul__(self, other):
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
         R = self.ring
-        if R._pi is not None:
-            M = R.F.q
-            return R._from_ints(_zl_rem(_zl_mul(self._ints(), other._ints(), M), R._pi, M))
-        if R._qpi is not None:
-            prod = _zq_mul(_zq_pack(self.coords), _zq_pack(other.coords))
-            return R._from_zq(_zq_rem(prod, R._qpi))
-        return R.from_poly(self.rep() * other.rep())
+        k = R._k
+        return R._make(k.mulrem(k.pack(self.coords), k.pack(other.coords), R._m))
 
     __rmul__ = __mul__
 
@@ -203,20 +180,13 @@ class QuotElem:
         if not any(self.coords):
             raise ZeroDivisionError("inverting zero in quotient ring")
         R = self.ring
-        if R._pi is not None:
-            return R._from_ints(_kr_inverse(self._ints(), R))
-        if R._qpi is not None:
-            g, s, _ = _zq_ext_gcd(_zq_pack(self.coords), R._qpi)
-            if len(g[0]) > 1:
-                g = Poly._from_zq(R.F, g, R.var)
-                raise ZeroDivisorError(f"zero divisor: modulus has factor {g!r}", factor=g)
-            return R._from_zq(s)
-        g, s, _ = poly_ext_gcd(self.rep(), self.ring.modulus)
-        if g.degree() > 0:
-            raise ZeroDivisorError(
-                f"zero divisor: modulus has factor {g!r}", factor=g
-            )
-        return self.ring.from_poly(s)
+        k = R._k
+        g, s, _ = k.ext_gcd(k.pack(self.coords), R._m)
+        g = k.unpack(g)
+        if len(g) > 1:
+            g = Poly(R.F, g, R.var)
+            raise ZeroDivisorError(f"zero divisor: modulus has factor {g!r}", factor=g)
+        return R._make(s)
 
     def __truediv__(self, other):
         other = self._wrap(other)
@@ -234,17 +204,8 @@ class QuotElem:
         if n < 0:
             return self.inverse() ** (-n)
         R = self.ring
-        if R._pi is not None:
-            return R._from_ints(_zl_pow_mod(self._ints(), n, R._pi, R.F.q))
-        if R._qpi is not None:
-            return R._from_zq(_zq_pow_mod(_zq_pack(self.coords), n, R._qpi))
-        result, base = self.ring.one(), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        k = R._k
+        return R._make(k.pow_mod(k.pack(self.coords), n, R._m))
 
     def __eq__(self, other):
         if isinstance(other, QuotElem):
@@ -269,10 +230,8 @@ class QuotElem:
 class QuotientRing:
     """F[v]/(m) for a monic modulus m of degree >= 1; a field when m is irreducible.
 
-    Over F = F_p the arithmetic runs on poly.py's int kernel: _pi is m as an
-    int list (None over other F), and _from_ints builds elements from it.
-    Over F = Q it runs on the same kernel over Z: _qpi is m packed as (ints,
-    denominator) (None over other F), and _from_zq builds elements from it.
+    The arithmetic runs on poly's kernel for F: _k is that kernel, _m is m
+    packed by it, and _make builds an element from a packed value.
     """
 
     def __init__(self, F, modulus):
@@ -284,28 +243,17 @@ class QuotientRing:
         self.modulus = modulus
         self.var = modulus.var
         self.deg = modulus.degree()
-        self._pi = self._qpi = None
-        if type(F) is FqField:
-            self._pi = [c.val for c in modulus.coeffs]
-        elif type(F) is RationalField:
-            self._qpi = _zq_pack(modulus.coeffs)
+        self._k = _kernel(F)
+        self._m = self._k.pack(modulus.coeffs)
         # _pad[k] fills a k-entry coordinate list up to deg entries
         self._pad = tuple((F.zero(),) * (self.deg - k) for k in range(self.deg + 1))
 
-    def _from_ints(self, ints):
-        """Element from at most deg ints in [0, p), skipping coerce (kernel rings only)."""
+    def _make(self, P):
+        """Element from a packed value of degree < deg, skipping coerce."""
         e = QuotElem.__new__(QuotElem)
-        q = self.F.q
+        cs = self._k.unpack(P)
         e.ring = self
-        e.coords = tuple([FqElem(v, q) for v in ints]) + self._pad[len(ints)]
-        return e
-
-    def _from_zq(self, A):
-        """Element from a packed (a, d) of degree < deg (Q rings only)."""
-        e = QuotElem.__new__(QuotElem)
-        e.ring = self
-        coords = _zq_unpack(A)
-        e.coords = tuple(coords) + self._pad[len(coords)]
+        e.coords = tuple(cs) + self._pad[len(cs)]
         return e
 
     @property
@@ -329,11 +277,8 @@ class QuotientRing:
     def from_poly(self, p):
         if p.field != self.F or p.var != self.var:
             raise DegenerateInputError("polynomial from wrong domain")
-        if self._pi is not None:
-            return self._from_ints(_zl_rem(_ints(p), self._pi, self.F.q))
-        if self._qpi is not None:
-            return self._from_zq(_zq_rem(_zq_pack(p.coeffs), self._qpi))
-        return QuotElem(self, (p % self.modulus).coeffs)
+        k = self._k
+        return self._make(k.rem(k.pack(p.coeffs), self._m))
 
     def coerce(self, x):
         if isinstance(x, QuotElem):

@@ -22,9 +22,9 @@ from .fields import QQ, FqField
 from .numtheory import is_prime, prime_divisors
 from .poly import (
     Poly,
+    _Fp,
     _zl_add,
     _zl_divmod,
-    _zl_ext_gcd,
     _zl_mul,
     _zl_pdivmod,
     _zl_sub,
@@ -219,7 +219,7 @@ def _hensel_lift(p, f, facs, l):
     h = [1]
     for fi in facs[k:]:
         h = _zl_mul(h, fi, p)
-    one, s, t = _zl_ext_gcd(g, h, p)
+    one, s, t = _Fp(p).ext_gcd(g, h)
     if len(one) != 1:
         raise DegenerateInputError("modular factors not coprime; bad prime")
     m = p

@@ -4,39 +4,43 @@ Coefficients are stored lowest degree first with no trailing zeros. A Poly is
 generic over the field objects from fields.py (and over RatFuncField below),
 so the same code serves Q[T], F_q[X], Q(X)[T] and F_q(X)[T].
 
-Over a prime field F_q the arithmetic runs on plain int lists, through the
-(Z/M)[X] kernel below with M = q; factor.py's Hensel lifting uses the same
-kernel with M = p^k. Poly.coeffs stays a tuple of FqElem either way.
+The arithmetic runs on one kernel per coefficient field, which _kernel picks
+once and keeps on the field object; nothing else chooses a representation.
+A kernel packs field elements into its own form, computes on packed values
+and unpacks the result, so Poly.coeffs (and extension.QuotElem.coords) stay
+tuples of field elements:
 
-Over a residue field F_p[x]/(pi) (an extension.QuotientRing over an
-FqField) the same kernel serves by Kronecker substitution: the residues of a
-Poly are packed into one F_p[Y] list, so a product in (F_p[x]/(pi))[T] is
-one kernel product.  Poly.coeffs stays a tuple of QuotElem.
+- _Fp, for a prime field F_q: int lists mod q.  factor.py's Hensel lifting
+  uses the same (Z/M)[X] functions with M = p^k.
+- _Zq, for Q: int lists over one positive denominator; a product is one
+  integer convolution and a division is pseudo-division over Z.
+- _Kr, for a residue field F_p[x]/(pi): the residues of a polynomial are
+  packed into one F_p[Y] list by Kronecker substitution, so a product in
+  (F_p[x]/(pi))[T] is one int-list product.
+- _Generic, for every other field (Q(X), F_q(X), Q[x]/(pi), number fields and
+  extensions of k(X)): lists of field elements, schoolbook product and long
+  division.
 
-Over Q the kernel serves Z[X] (M = 0): a Poly packs to an int list over one
-positive denominator, a product is one integer convolution and a division is
-pseudo-division, and gcds and powers stay packed until the result, which is
-unpacked once into normalized Fractions.  Poly.coeffs stays a tuple of
-Fraction.  The generic path is left for Q(X) and F_q(X) coefficients, and for
-residue rings Q[x]/(pi), whose elements multiply on the kernel.
+The _Kernel base class holds the one Euclid loop, extended Euclid loop and
+modular square-and-multiply loop that all kernels share.
 """
 
 import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from .errors import DegenerateInputError, ZeroDivisorError
+from .errors import DegenerateInputError
 from .fields import FqElem, FqField, RationalField
 
 # ---------------------------------------------------------------------------
-# Int-list kernel for (Z/M)[X], and for Z[X] with M = 0: coefficient lists
+# Int-list functions for (Z/M)[X], and for Z[X] with M = 0: coefficient lists
 # lowest degree first, no trailing zeros. Inputs need not be reduced mod M,
 # but a divisor's leading coefficient must be a unit mod M; results are
 # reduced into [0, M).  Only the product and the division serve M = 0.
 
 
 def _zl_trim(a):
-    while a and a[-1] == 0:
+    while a and not a[-1]:
         a.pop()
     return a
 
@@ -108,43 +112,6 @@ def _zl_divmod(a, b, M):
     return _zl_pdivmod(a, b, M)[1:]
 
 
-def _zl_scale(a, c, M):
-    return _zl_trim([x * c % M for x in a])
-
-
-def _zl_pow_mod(a, e, m, M):
-    """a**e mod m, left-to-right square and multiply; 1 for e = 0."""
-    if not e:
-        return [1]
-    base = result = _zl_divmod(a, m, M)[1]
-    for bit in bin(e)[3:]:
-        result = _zl_divmod(_zl_mul(result, result, M), m, M)[1]
-        if bit == "1":
-            result = _zl_divmod(_zl_mul(result, base, M), m, M)[1]
-    return result
-
-
-def _zl_gcd(a, b, M):
-    """Monic gcd mod a prime M; gcd(0, 0) = 0."""
-    while b:
-        a, b = b, _zl_divmod(a, b, M)[1]
-    return _zl_scale(a, pow(a[-1], -1, M), M) if a else a
-
-
-def _zl_ext_gcd(a, b, M):
-    """(g, s, t) mod a prime M with g monic (or zero) and s*a + t*b = g."""
-    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
-    while r1:
-        q, r = _zl_divmod(r0, r1, M)
-        r0, r1 = r1, r
-        s0, s1 = s1, _zl_sub(s0, _zl_mul(q, s1, M), M)
-        t0, t1 = t1, _zl_sub(t0, _zl_mul(q, t1, M), M)
-    if not r0:
-        return r0, s0, t0
-    inv = pow(r0[-1], -1, M)
-    return _zl_scale(r0, inv, M), _zl_scale(s0, inv, M), _zl_scale(t0, inv, M)
-
-
 def _zl_rem(a, m, M):
     """a mod the monic m over Z/M."""
     dm = len(m) - 1
@@ -156,234 +123,342 @@ def _zl_rem(a, m, M):
     return _zl_trim([c % M for c in r[:dm]])
 
 
-def _ints(p):
-    return [c.val for c in p.coeffs]
-
-
 # ---------------------------------------------------------------------------
-# Q[X] on the kernel over Z: a rational polynomial is packed as (a, d), the
-# int list a over one positive denominator d.  Results are normalized, so
-# gcd(d, content(a)) = 1 and zero is ([], 1); products and pseudo-division
-# run on _zl_mul/_zl_pdivmod with M = 0.
+# The kernels.  Each one has pack (field elements, trailing zeros allowed, to
+# a packed value), unpack (a packed value to a trimmed list of field
+# elements), add, sub, mul, divmod and rem by a nonzero divisor, and inv_lc
+# (the inverse of the leading coefficient, as a packed constant).  Packed
+# results are canonical, so equal polynomials pack to equal values, and no
+# operation changes its inputs.
 
 
-def _zq_pack(cs):
-    """Rational coefficients, possibly with trailing zeros, packed."""
-    dens = [c.denominator for c in cs]
-    d = math.lcm(*dens)
-    if d == 1:
-        return _zl_trim([c.numerator for c in cs]), 1
-    return _zl_trim([c.numerator * (d // e) for c, e in zip(cs, dens)]), d
+class _Kernel:
+    """The loops every kernel shares: Euclid, extended Euclid, powers mod m."""
+
+    zero, one = [], [1]
+
+    def is_zero(self, A):
+        return not A
+
+    def rem(self, A, B):
+        return self.divmod(A, B)[1]
+
+    def mulrem(self, A, B, m):
+        """A*B mod a monic m."""
+        return self.rem(self.mul(A, B), m)
+
+    def monic(self, A):
+        if self.is_zero(A):
+            return A
+        inv = self.inv_lc(A)
+        return A if inv == self.one else self.mul(inv, A)
+
+    def gcd(self, A, B):
+        """Monic gcd; gcd(0, 0) = 0."""
+        while not self.is_zero(B):
+            A, B = B, self.rem(A, B)
+        return self.monic(A)
+
+    def ext_gcd(self, A, B):
+        """(g, s, t) with g monic (or zero) and s*A + t*B = g."""
+        r0, r1, s0, s1, t0, t1 = A, B, self.one, self.zero, self.zero, self.one
+        while not self.is_zero(r1):
+            q, r = self.divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self.sub(s0, self.mul(q, s1))
+            t0, t1 = t1, self.sub(t0, self.mul(q, t1))
+        if self.is_zero(r0) or (inv := self.inv_lc(r0)) == self.one:
+            return r0, s0, t0
+        return self.mul(inv, r0), self.mul(inv, s0), self.mul(inv, t0)
+
+    def pow_mod(self, A, e, m):
+        """A**e mod a nonzero m, left-to-right square and multiply; 1 for e = 0.
+
+        m is made monic first, so a leading coefficient that is a zero divisor
+        raises even for e = 0.
+        """
+        m = self.monic(m)
+        base = result = self.rem(A, m)
+        if not e:
+            return self.one
+        for bit in bin(e)[3:]:
+            result = self.mulrem(result, result, m)
+            if bit == "1":
+                result = self.mulrem(result, base, m)
+        return result
 
 
-def _zq_unpack(A):
-    a, d = A
-    if d == 1:
-        return [Fraction(x) for x in a]
-    return [Fraction(x, d) for x in a]
+class _Fp(_Kernel):
+    """F_q[X] as int lists mod q."""
+
+    def __init__(self, q):
+        self.q = q
+
+    def pack(self, cs):
+        return _zl_trim([c.val for c in cs])
+
+    def unpack(self, P):
+        q = self.q
+        return [FqElem(v, q) for v in P]
+
+    def add(self, A, B):
+        return _zl_add(A, B, self.q)
+
+    def sub(self, A, B):
+        return _zl_sub(A, B, self.q)
+
+    def mul(self, A, B):
+        return _zl_mul(A, B, self.q)
+
+    def divmod(self, A, B):
+        return _zl_divmod(A, B, self.q)
+
+    def rem(self, A, B):
+        return _zl_rem(A, B, self.q) if B[-1] == 1 else _zl_pdivmod(A, B, self.q)[2]
+
+    def mulrem(self, A, B, m):
+        return _zl_rem(_zl_mul(A, B, 0), m, self.q)
+
+    def inv_lc(self, A):
+        return [pow(A[-1], -1, self.q)]
 
 
-def _zq_norm(a, d):
-    g = math.gcd(d, *a)
-    return (a, d) if g == 1 else ([x // g for x in a], d // g)
+class _Zq(_Kernel):
+    """Q[X] as (a, d), the int list a over one positive denominator d.
 
-
-def _zq_scale(A, n, d):
-    """A * n/d for ints n and d != 0."""
-    a, da = A
-    if d < 0:
-        n, d = -n, -d
-    return _zq_norm(a if n == 1 else [x * n for x in a], da * d)
-
-
-def _zq_add(A, B, sign=1):
-    """A + sign*B."""
-    (a, da), (b, db) = A, B
-    d = math.lcm(da, db)
-    ma, mb = d // da, sign * (d // db)
-    return _zq_norm(_zl_trim([x * ma + y * mb for x, y in zip_longest(a, b, fillvalue=0)]), d)
-
-
-def _zq_mul(A, B):
-    return _zq_norm(_zl_mul(A[0], B[0], 0), A[1] * B[1])
-
-
-def _zq_divmod(A, B):
-    """Quotient and remainder by a nonzero B, from s*a = q*b + r over Z."""
-    (a, da), (b, db) = A, B
-    if len(b) == 1:
-        return _zq_scale(A, db, b[0]), ([], 1)
-    s, q, r = _zl_pdivmod(a, b, 0)
-    return _zq_scale((q, da * s), db, 1), _zq_norm(r, da * s)
-
-
-def _zq_rem(A, B):
-    """Remainder by a nonzero B."""
-    if len(B[0]) == 1:
-        return [], 1
-    s, _, r = _zl_pdivmod(A[0], B[0], 0)
-    return _zq_norm(r, A[1] * s)
-
-
-def _zq_monic(A):
-    return _zq_scale((A[0], 1), 1, A[0][-1]) if A[0] else A
-
-
-def _zq_gcd(A, B):
-    """Monic gcd, by pseudo-remainders made primitive at each step; gcd(0, 0) = 0."""
-    a, b = A[0], B[0]
-    while b:
-        a, b = b, _zl_pdivmod(a, b, 0)[2]
-        g = math.gcd(*b)
-        if g > 1:
-            b = [x // g for x in b]
-    return _zq_monic((a, 1))
-
-
-def _zq_ext_gcd(A, B):
-    """(g, s, t) with g monic (or zero) and s*A + t*B = g."""
-    one, zero = ([1], 1), ([], 1)
-    r0, r1, s0, s1, t0, t1 = A, B, one, zero, zero, one
-    while r1[0]:
-        q, r = _zq_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _zq_add(s0, _zq_mul(q, s1), -1)
-        t0, t1 = t1, _zq_add(t0, _zq_mul(q, t1), -1)
-    if not r0[0]:
-        return r0, s0, t0
-    n, d = r0[1], r0[0][-1]
-    return _zq_monic(r0), _zq_scale(s0, n, d), _zq_scale(t0, n, d)
-
-
-def _zq_pow_mod(A, e, m):
-    """A**e mod a nonzero m; 1 for e = 0."""
-    if not e:
-        return [1], 1
-    base = result = _zq_rem(A, m)
-    for bit in bin(e)[3:]:
-        result = _zq_rem(_zq_mul(result, result), m)
-        if bit == "1":
-            result = _zq_rem(_zq_mul(result, base), m)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Kronecker substitution for (F_p[x]/(pi))[T], pi monic of degree d, on the
-# kernel above (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).  A
-# residue is its coordinate list in F_p, of degree < d.  A polynomial over
-# the residue ring is packed into one F_p[Y] list, residue i at offset i*s
-# with stride s = 2d - 1, so that one _zl_mul forms every product of two
-# residues without overlap.  A packed list is reduced when each stride chunk
-# is a reduced residue; the functions below take and return reduced lists.
-# R is a QuotientRing over an FqField: R._pi is pi as ints.
-
-
-def _kr_stride(R):
-    return 2 * R.deg - 1
-
-
-def _kr_pack(p):
-    """The Poly p over R as a reduced packed list."""
-    coeffs, d = p.coeffs, p.field.deg
-    if d == 1:
-        return [c.coords[0].val for c in coeffs]
-    pad = [0] * (d - 1)
-    out = []
-    for c in coeffs:
-        out += [x.val for x in c.coords]
-        out += pad
-    return _zl_trim(out)
-
-
-def _kr_reduce(P, R):
-    """Reduce each chunk of P (chunks of degree < s, any ints) mod pi and p."""
-    M, pi = R.F.q, R._pi
-    if R.deg == 1:
-        return _zl_trim([c % M for c in P])
-    s = _kr_stride(R)
-    out = []
-    for i in range(0, len(P), s):
-        c = _zl_rem(P[i : i + s], pi, M)
-        out += c
-        out += [0] * (s - len(c))
-    return _zl_trim(out)
-
-
-def _kr_inverse(c, R):
-    """Inverse of the nonzero residue c; ZeroDivisorError when pi is reducible."""
-    g, s, _ = _zl_ext_gcd(c, R._pi, R.F.q)
-    if len(g) > 1:
-        g = Poly._from_ints(R.F, g, R.var)
-        raise ZeroDivisorError(f"zero divisor: modulus has factor {g!r}", factor=g)
-    return s
-
-
-def _kr_mul(A, B, R):
-    return _kr_reduce(_zl_mul(A, B, R.F.q), R)
-
-
-def _kr_lc(A, R):
-    s = _kr_stride(R)
-    return A[(len(A) - 1) // s * s :]
-
-
-def _kr_monic(A, R):
-    lc = _kr_lc(A, R)
-    return A if not A or lc == [1] else _kr_mul(_kr_inverse(lc, R), A, R)
-
-
-def _kr_divmod(A, B, R):
-    """Quotient and remainder of A by a nonzero reduced B.
-
-    The chunks of A need only have degree < s (an unreduced product is fine).
-    lc(B) is inverted first, as in the generic division.
+    Values are normalized, so gcd(d, content(a)) = 1 and zero is ([], 1);
+    products and pseudo-division run on _zl_mul/_zl_pdivmod with M = 0.
     """
-    M, pi, s = R.F.q, R._pi, _kr_stride(R)
-    if s == 1:
-        # pi is linear: the residue ring is F_p and A, B are F_p[T] lists
-        return _zl_divmod(A, B, M)
-    nb = (len(B) - 1) // s
-    lc = _kr_lc(B, R)
-    inv = None if lc == [1] else _kr_inverse(lc, R)
-    na = (len(A) - 1) // s
-    if na < nb:
-        return [], _kr_reduce(A, R)
-    low, r = B[: nb * s], list(A)
-    q = [0] * ((na - nb + 1) * s)
-    for k in range(na - nb, -1, -1):
-        top = (k + nb) * s
-        t = _zl_rem(r[top : top + s], pi, M)
-        if not t:
-            continue
-        if inv is not None:
-            t = _zl_rem(_zl_mul(t, inv, M), pi, M)
-        off = k * s
-        q[off : off + len(t)] = t
-        # each chunk of t * low has degree <= 2d - 2 < s; chunk k + nb is not read again
-        tb = _zl_mul(t, low, M)
-        r[off : off + len(tb)] = [x - y for x, y in zip(r[off : off + len(tb)], tb)]
-    return _zl_trim(q), _kr_reduce(r[: nb * s], R)
+
+    zero, one = ([], 1), ([1], 1)
+
+    def is_zero(self, A):
+        return not A[0]
+
+    def pack(self, cs):
+        dens = [c.denominator for c in cs]
+        d = math.lcm(*dens)
+        if d == 1:
+            return _zl_trim([c.numerator for c in cs]), 1
+        return _zl_trim([c.numerator * (d // e) for c, e in zip(cs, dens)]), d
+
+    def unpack(self, A):
+        a, d = A
+        if d == 1:
+            return [Fraction(x) for x in a]
+        return [Fraction(x, d) for x in a]
+
+    @staticmethod
+    def _norm(a, d):
+        g = math.gcd(d, *a)
+        return (a, d) if g == 1 else ([x // g for x in a], d // g)
+
+    def _scale(self, A, n, d):
+        """A * n/d for ints n and d != 0."""
+        a, da = A
+        if d < 0:
+            n, d = -n, -d
+        return self._norm(a if n == 1 else [x * n for x in a], da * d)
+
+    def add(self, A, B, sign=1):
+        """A + sign*B."""
+        (a, da), (b, db) = A, B
+        d = math.lcm(da, db)
+        ma, mb = d // da, sign * (d // db)
+        return self._norm(_zl_trim([x * ma + y * mb for x, y in zip_longest(a, b, fillvalue=0)]), d)
+
+    def sub(self, A, B):
+        return self.add(A, B, -1)
+
+    def mul(self, A, B):
+        return self._norm(_zl_mul(A[0], B[0], 0), A[1] * B[1])
+
+    def divmod(self, A, B):
+        """Quotient and remainder, from s*a = q*b + r over Z."""
+        (a, da), (b, db) = A, B
+        if len(b) == 1:
+            return self._scale(A, db, b[0]), self.zero
+        s, q, r = _zl_pdivmod(a, b, 0)
+        return self._scale((q, da * s), db, 1), self._norm(r, da * s)
+
+    def rem(self, A, B):
+        if len(B[0]) == 1:
+            return self.zero
+        s, _, r = _zl_pdivmod(A[0], B[0], 0)
+        return self._norm(r, A[1] * s)
+
+    def mulrem(self, A, B, m):
+        return self.rem((_zl_mul(A[0], B[0], 0), A[1] * B[1]), m)
+
+    def inv_lc(self, A):
+        return self._scale(self.one, A[1], A[0][-1])
+
+    def monic(self, A):
+        return self._scale((A[0], 1), 1, A[0][-1]) if A[0] else A
+
+    def gcd(self, A, B):
+        """Monic gcd, by pseudo-remainders made primitive at each step; gcd(0, 0) = 0."""
+        a, b = A[0], B[0]
+        while b:
+            a, b = b, _zl_pdivmod(a, b, 0)[2]
+            g = math.gcd(*b)
+            if g > 1:
+                b = [x // g for x in b]
+        return self.monic((a, 1))
 
 
-def _kr_pow_mod(A, e, m, R):
-    """A**e mod a nonzero m; 1 for e = 0, as in the generic poly_pow_mod."""
-    m = _kr_monic(m, R)
-    if not e:
-        return [1]
-    M = R.F.q
-    base = result = _kr_divmod(A, m, R)[1]
-    for bit in bin(e)[3:]:
-        result = _kr_divmod(_zl_mul(result, result, M), m, R)[1]
-        if bit == "1":
-            result = _kr_divmod(_zl_mul(result, base, M), m, R)[1]
-    return result
+class _Kr(_Kernel):
+    """(F_p[x]/(pi))[T] by Kronecker substitution, for R = F_p[x]/(pi) with pi monic of degree d.
+
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4.)  A residue is
+    its coordinate list in F_p, of degree < d.  A polynomial over R is packed
+    into one F_p[Y] list, residue i at offset i*s with stride s = 2d - 1, so
+    that one _zl_mul forms every product of two residues without overlap.  A
+    packed value is reduced when each stride chunk is a reduced residue;
+    divmod and mulrem also take chunks of any degree < s.
+    """
+
+    def __init__(self, R):
+        self.R, self.q, self.pi, self.d = R, R.F.q, R._m, R.deg
+        self.s = 2 * R.deg - 1
+
+    def pack(self, cs):
+        if self.d == 1:
+            return _zl_trim([c.coords[0].val for c in cs])
+        pad = [0] * (self.d - 1)
+        out = []
+        for c in cs:
+            out += [x.val for x in c.coords]
+            out += pad
+        return _zl_trim(out)
+
+    def unpack(self, P):
+        make, d = self.R._make, self.d
+        return [make(P[i : i + d]) for i in range(0, len(P), self.s)]
+
+    def _reduce(self, P):
+        """Reduce each chunk of P (chunks of degree < s, any ints) mod pi and p."""
+        M, pi, s = self.q, self.pi, self.s
+        if s == 1:
+            return _zl_trim([c % M for c in P])
+        out = []
+        for i in range(0, len(P), s):
+            c = _zl_rem(P[i : i + s], pi, M)
+            out += c
+            out += [0] * (s - len(c))
+        return _zl_trim(out)
+
+    def add(self, A, B):
+        return _zl_add(A, B, self.q)
+
+    def sub(self, A, B):
+        return _zl_sub(A, B, self.q)
+
+    def mul(self, A, B):
+        return self._reduce(_zl_mul(A, B, self.q))
+
+    def inv_lc(self, A):
+        """ZeroDivisorError from QuotElem.inverse when lc(A) is a zero divisor."""
+        lc = A[(len(A) - 1) // self.s * self.s :]
+        return lc if lc == [1] else self.R._k.pack(self.R._make(lc).inverse().coords)
+
+    def divmod(self, A, B):
+        """Quotient and remainder by a nonzero reduced B; lc(B) is inverted first."""
+        M, pi, s = self.q, self.pi, self.s
+        if s == 1:
+            # pi is linear: the residue ring is F_p and A, B are F_p[T] lists
+            return _zl_divmod(A, B, M)
+        nb = (len(B) - 1) // s
+        inv = self.inv_lc(B)
+        na = (len(A) - 1) // s
+        if na < nb:
+            return [], self._reduce(A)
+        low, r = B[: nb * s], list(A)
+        q = [0] * ((na - nb + 1) * s)
+        for k in range(na - nb, -1, -1):
+            top = (k + nb) * s
+            t = _zl_rem(r[top : top + s], pi, M)
+            if not t:
+                continue
+            if inv != [1]:
+                t = _zl_rem(_zl_mul(t, inv, M), pi, M)
+            off = k * s
+            q[off : off + len(t)] = t
+            # each chunk of t * low has degree <= 2d - 2 < s; chunk k + nb is not read again
+            tb = _zl_mul(t, low, M)
+            r[off : off + len(tb)] = [x - y for x, y in zip(r[off : off + len(tb)], tb)]
+        return _zl_trim(q), self._reduce(r[: nb * s])
+
+    def mulrem(self, A, B, m):
+        return self.divmod(_zl_mul(A, B, self.q), m)[1]
 
 
-def _kr_gcd(A, B, R):
-    """Monic gcd, as poly_gcd."""
-    while B:
-        A, B = B, _kr_divmod(A, B, R)[1]
-    return _kr_monic(A, R)
+class _Generic(_Kernel):
+    """Lists of field elements, for any field: schoolbook product and long division."""
+
+    def __init__(self, F):
+        self._0, self._1 = F.zero(), F.one()
+        self.one = [self._1]
+
+    def pack(self, cs):
+        return _zl_trim(list(cs))
+
+    def unpack(self, P):
+        return P
+
+    def add(self, A, B):
+        if len(A) < len(B):
+            A, B = B, A
+        return _zl_trim([x + y for x, y in zip(A, B)] + A[len(B) :])
+
+    def sub(self, A, B):
+        out = [x - y for x, y in zip(A, B)]
+        out += A[len(B) :] if len(A) > len(B) else [-y for y in B[len(A) :]]
+        return _zl_trim(out)
+
+    def mul(self, A, B):
+        if not A or not B:
+            return []
+        out = [self._0] * (len(A) + len(B) - 1)
+        for i, a in enumerate(A):
+            for j, b in enumerate(B):
+                out[i + j] = out[i + j] + a * b
+        return _zl_trim(out)
+
+    def inv_lc(self, A):
+        c = A[-1]
+        return self.one if c == self._1 else [self._1 / c]
+
+    def divmod(self, A, B):
+        d, inv = len(B) - 1, self.inv_lc(B)[0]
+        q = [self._0] * max(len(A) - d, 0)
+        rem = list(A)
+        while len(rem) > d:
+            k = len(rem) - 1 - d
+            t = rem[-1] * inv
+            q[k] = t
+            for i, b in enumerate(B):
+                rem[k + i] = rem[k + i] - t * b
+            _zl_trim(rem)
+        return _zl_trim(q), rem
+
+
+def _kernel(F):
+    """The kernel of the coefficient field F, made on first use and kept as F._kernel."""
+    try:
+        return F._kernel
+    except AttributeError:
+        pass
+    if type(F) is FqField:
+        k = _Fp(F.q)
+    elif type(F) is RationalField:
+        k = _Zq()
+    elif type(getattr(F, "_k", None)) is _Fp:
+        k = _Kr(F)  # a QuotientRing over a prime field
+    else:
+        k = _Generic(F)
+    F._kernel = k
+    return k
 
 
 class Poly:
@@ -400,36 +475,17 @@ class Poly:
             cs.append(e)
         while cs and not cs[-1]:
             cs.pop()
+        _kernel(field)
         self.field = field
         self.coeffs = tuple(cs)
         self.var = var
 
     @classmethod
-    def _from_ints(cls, field, ints, var):
-        """Poly over the prime field `field` from a kernel result (reduced, trimmed)."""
-        p = cls.__new__(cls)
-        q = field.q
-        p.field = field
-        p.coeffs = tuple([FqElem(v, q) for v in ints])
-        p.var = var
-        return p
-
-    @classmethod
-    def _from_zq(cls, field, A, var):
-        """Poly over the rational field `field` from a packed (a, d)."""
+    def _raw(cls, field, coeffs, var):
+        """Poly from a kernel's unpacked result (trimmed field elements), skipping coerce."""
         p = cls.__new__(cls)
         p.field = field
-        p.coeffs = tuple(_zq_unpack(A))
-        p.var = var
-        return p
-
-    @classmethod
-    def _from_packed(cls, R, P, var):
-        """Poly over a kernel residue ring R from a reduced packed list."""
-        p = cls.__new__(cls)
-        d, s = R.deg, _kr_stride(R)
-        p.field = R
-        p.coeffs = tuple([R._from_ints(P[i : i + d]) for i in range(0, len(P), s)])
+        p.coeffs = tuple(coeffs)
         p.var = var
         return p
 
@@ -474,13 +530,8 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         F = self.field
-        if type(F) is FqField:
-            return Poly._from_ints(F, _zl_add(_ints(self), _ints(other), F.q), self.var)
-        if type(F) is RationalField:
-            A, B = _zq_pack(self.coeffs), _zq_pack(other.coeffs)
-            return Poly._from_zq(F, _zq_add(A, B), self.var)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)], self.var)
+        k = F._kernel
+        return Poly._raw(F, k.unpack(k.add(k.pack(self.coeffs), k.pack(other.coeffs))), self.var)
 
     __radd__ = __add__
 
@@ -489,39 +540,22 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         F = self.field
-        if type(F) is FqField:
-            return Poly._from_ints(F, _zl_sub(_ints(self), _ints(other), F.q), self.var)
-        if type(F) is RationalField:
-            A, B = _zq_pack(self.coeffs), _zq_pack(other.coeffs)
-            return Poly._from_zq(F, _zq_add(A, B, -1), self.var)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self.coeff(i) - other.coeff(i) for i in range(n)], self.var)
+        k = F._kernel
+        return Poly._raw(F, k.unpack(k.sub(k.pack(self.coeffs), k.pack(other.coeffs))), self.var)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs], self.var)
+        return Poly._raw(self.field, [-c for c in self.coeffs], self.var)
 
     def __mul__(self, other):
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
         F = self.field
-        if type(F) is FqField:
-            return Poly._from_ints(F, _zl_mul(_ints(self), _ints(other), F.q), self.var)
-        if type(F) is RationalField:
-            A, B = _zq_pack(self.coeffs), _zq_pack(other.coeffs)
-            return Poly._from_zq(F, _zq_mul(A, B), self.var)
-        if _on_kernel(F):
-            return Poly._from_packed(F, _kr_mul(_kr_pack(self), _kr_pack(other), F), self.var)
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field, [], self.var)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out, self.var)
+        k = F._kernel
+        return Poly._raw(F, k.unpack(k.mul(k.pack(self.coeffs), k.pack(other.coeffs))), self.var)
 
     __rmul__ = __mul__
 
@@ -543,42 +577,23 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
-        if type(F) is FqField:
-            q, r = _zl_divmod(_ints(self), _ints(other), F.q)
-            return Poly._from_ints(F, q, self.var), Poly._from_ints(F, r, self.var)
-        if type(F) is RationalField:
-            q, r = _zq_divmod(_zq_pack(self.coeffs), _zq_pack(other.coeffs))
-            return Poly._from_zq(F, q, self.var), Poly._from_zq(F, r, self.var)
-        if _on_kernel(F):
-            q, r = _kr_divmod(_kr_pack(self), _kr_pack(other), F)
-            return Poly._from_packed(F, q, self.var), Poly._from_packed(F, r, self.var)
-        q = [self.field.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        d, inv_lc = other.degree(), self.field.one() / other.lc()
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            t = rem[-1] * inv_lc
-            q[k] = t
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - t * b
-            while rem and rem[-1] == self.field.zero():
-                rem.pop()
-        return Poly(self.field, q, self.var), Poly(self.field, rem, self.var)
+        F, var = self.field, self.var
+        k = F._kernel
+        q, r = k.divmod(k.pack(self.coeffs), k.pack(other.coeffs))
+        return Poly._raw(F, k.unpack(q), var), Poly._raw(F, k.unpack(r), var)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        F = self.field
-        if type(F) is not RationalField:
-            return divmod(self, other)[1]
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        return Poly._from_zq(F, _zq_rem(_zq_pack(self.coeffs), _zq_pack(other.coeffs)), self.var)
+        F = self.field
+        k = F._kernel
+        return Poly._raw(F, k.unpack(k.rem(k.pack(self.coeffs), k.pack(other.coeffs))), self.var)
 
     def __truediv__(self, other):
         """Division by a constant, or exact polynomial division."""
@@ -622,10 +637,8 @@ class Poly:
     def monic(self):
         if self.is_zero():
             raise DegenerateInputError("zero polynomial cannot be made monic")
-        if type(self.field) is RationalField:
-            return Poly._from_zq(self.field, _zq_monic(_zq_pack(self.coeffs)), self.var)
-        inv = self.field.one() / self.lc()
-        return Poly(self.field, [c * inv for c in self.coeffs], self.var)
+        k = self.field._kernel
+        return Poly._raw(self.field, k.unpack(k.monic(k.pack(self.coeffs))), self.var)
 
     def derivative(self):
         return Poly(
@@ -651,56 +664,24 @@ class Poly:
         return render_poly(self)
 
 
-def _on_kernel(F):
-    """Whether F is a residue ring F_p[x]/(pi) whose arithmetic runs on the kernel."""
-    return getattr(F, "_pi", None) is not None
-
-
-def _kernel_field(a, b):
-    """a.field when a and b are polys over one of Q, F_q or a kernel residue ring, else None."""
-    F = a.field
-    if type(F) is not FqField and type(F) is not RationalField and not _on_kernel(F):
-        return None
-    if not isinstance(b, Poly) or (b.field is not F and b.field != F) or b.var != a.var:
+def _operands(a, b):
+    """(kernel, packed a, packed b) for polys a and b over one field and variable."""
+    if not isinstance(b, Poly) or (b.field is not a.field and b.field != a.field) or b.var != a.var:
         raise DegenerateInputError("mixed polynomial domains")
-    return F
+    k = a.field._kernel
+    return k, k.pack(a.coeffs), k.pack(b.coeffs)
 
 
 def poly_gcd(a, b):
     """Monic gcd over a field; gcd(0, 0) = 0."""
-    F = _kernel_field(a, b)
-    if type(F) is FqField:
-        return Poly._from_ints(F, _zl_gcd(_ints(a), _ints(b), F.q), a.var)
-    if type(F) is RationalField:
-        return Poly._from_zq(F, _zq_gcd(_zq_pack(a.coeffs), _zq_pack(b.coeffs)), a.var)
-    if F is not None:
-        return Poly._from_packed(F, _kr_gcd(_kr_pack(a), _kr_pack(b), F), a.var)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    k, A, B = _operands(a, b)
+    return Poly._raw(a.field, k.unpack(k.gcd(A, B)), a.var)
 
 
 def poly_ext_gcd(a, b):
     """Extended gcd: returns (g, s, t) with g monic (or zero) and s*a + t*b = g."""
-    F = _kernel_field(a, b)
-    if type(F) is FqField:
-        g, s, t = _zl_ext_gcd(_ints(a), _ints(b), F.q)
-        return tuple([Poly._from_ints(F, c, a.var) for c in (g, s, t)])
-    if type(F) is RationalField:
-        gst = _zq_ext_gcd(_zq_pack(a.coeffs), _zq_pack(b.coeffs))
-        return tuple([Poly._from_zq(F, c, a.var) for c in gst])
-    F, var = a.field, a.var
-    one, zero = Poly(F, [F.one()], var), Poly(F, [], var)
-    r0, r1, s0, s1, t0, t1 = a, b, one, zero, zero, one
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = F.one() / r0.lc()
-    return r0.monic(), s0 * inv, t0 * inv
+    k, A, B = _operands(a, b)
+    return tuple([Poly._raw(a.field, k.unpack(c), a.var) for c in k.ext_gcd(A, B)])
 
 
 def resultant(a, b):
@@ -737,23 +718,11 @@ def discriminant(f):
 
 def poly_pow_mod(a, e, m):
     """a**e mod m by square and multiply."""
-    F = _kernel_field(a, m)
-    if F is not None and m.is_zero():
+    k, A, M = _operands(a, m)
+    if m.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if type(F) is FqField:
-        return Poly._from_ints(F, _zl_pow_mod(_ints(a), e, _ints(m), F.q), a.var)
-    if type(F) is RationalField:
-        return Poly._from_zq(F, _zq_pow_mod(_zq_pack(a.coeffs), e, _zq_pack(m.coeffs)), a.var)
-    if F is not None:
-        return Poly._from_packed(F, _kr_pow_mod(_kr_pack(a), e, _kr_pack(m), F), a.var)
-    result = Poly(a.field, [a.field.one()], a.var)
-    a = a % m
-    while e:
-        if e & 1:
-            result = result * a % m
-        a = a * a % m
-        e >>= 1
-    return result
+    return Poly._raw(a.field, k.unpack(k.pow_mod(A, e, M)), a.var)
+
 
 
 class RatFunc:

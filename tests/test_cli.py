@@ -109,6 +109,18 @@ def test_split_places_budget_failure(capsys):
     assert "(max_candidates = 2)" in err
 
 
+def test_split_places_negative_cap_is_malformed(capsys):
+    # 0 means the library default; a negative cap is malformed input, like --count -1
+    for flag, value in (("--max-candidates", "-1"), ("--count", "-1")):
+        code, out, err = run(capsys, "split-places", "--base", "Q", "--f", "T^2-2", flag, value)
+        assert (code, out) == (2, ""), flag
+        assert err.startswith("error: ") and "Traceback" not in err, flag
+    code, out, _ = run(
+        capsys, "split-places", "--base", "Q", "--f", "T^2-2", "--max-candidates", "0"
+    )
+    assert code == 0 and "tried 3 candidates" in out
+
+
 def test_wall_budget_is_named_on_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "SearchBudget", functools.partial(SearchBudget, wall_seconds=0))
     for argv in (("split-places", "--max-candidates", "5"), ("witness",)):

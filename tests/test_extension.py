@@ -191,15 +191,20 @@ def test_finite_quotient_enumeration():
 
 
 # ---------------------------------------------------------------------------
-# QuotElem over F_p runs on the int kernel; the same ring with the kernel
-# route off (_pi = None) runs the generic Poly path, which is the reference.
+# QuotElem over F_p runs on the int kernel; the same ring with _Generic
+# kernels installed runs on lists of field elements, which is the reference.
 
 
 def _kernel_and_generic(p, pi):
+    from sosfield.poly import _Fp, _Generic
+
     F = FqField(p)
     modulus = Poly(F, pi, "x")
     kernel, generic = QuotientRing(F, modulus), QuotientRing(F, modulus)
-    generic._pi = None
+    generic._k = _Generic(F)
+    generic._m = generic._k.pack(modulus.coeffs)
+    generic._kernel = _Generic(generic)
+    assert type(kernel._k) is _Fp and kernel == generic
     return kernel, generic
 
 

@@ -350,13 +350,13 @@ def test_kernel_modulo_prime_power():
 
 def test_hensel_step_lifts_mod_prime_square():
     from sosfield.factor import _hensel_step
-    from sosfield.poly import _zl_add, _zl_ext_gcd, _zl_mul, _zl_sub
+    from sosfield.poly import _Fp, _zl_add, _zl_mul, _zl_sub
 
     # f = (X^2 + 1)(X^3 - 2X + 5) + 7(X - 3), a product mod 7 only
     f = [-16, 5, 5, -1, 0, 1]
     p = 7
     g, h = [1, 0, 1], [5, 5, 0, 1]
-    one, s, t = _zl_ext_gcd(g, h, p)
+    one, s, t = _Fp(p).ext_gcd(g, h)
     assert one == [1]
     m = p
     for _ in range(3):
@@ -396,22 +396,25 @@ def test_kernel_keeps_domain_checks():
 
 
 # ---------------------------------------------------------------------------
-# Poly over a residue ring F_p[x]/(pi) runs on the kernel by Kronecker
-# substitution; the same ring with the kernel route off (_pi = None) runs the
-# generic QuotElem/Poly path, which is the reference here.
+# Poly over a residue ring F_p[x]/(pi) runs on the _Kr kernel by Kronecker
+# substitution; the same ring with _Generic kernels installed runs on lists
+# of field elements, which is the reference here.
 
 RESIDUE_PS = (3, 7, 101, 10007, 2**61 - 1)
 
 
 def _residue_rings(p, pi):
-    """The kernel ring F_p[x]/(pi) and its twin on the generic path."""
+    """The kernel ring F_p[x]/(pi) and its twin on _Generic kernels."""
     from sosfield.extension import QuotientRing
+    from sosfield.poly import _Generic, _kernel, _Kr
 
     F = FqField(p)
     modulus = Poly(F, pi, "x")
     kernel, generic = QuotientRing(F, modulus), QuotientRing(F, modulus)
-    generic._pi = None
-    assert kernel._pi is not None and kernel == generic
+    generic._k = _Generic(F)
+    generic._m = generic._k.pack(modulus.coeffs)
+    generic._kernel = _Generic(generic)
+    assert type(_kernel(kernel)) is _Kr and kernel == generic
     return kernel, generic
 
 
@@ -515,8 +518,8 @@ def test_residue_kernel_zero_divisor_factor():
 
 # ---------------------------------------------------------------------------
 # Poly over Q runs on the kernel over Z, packed over one common denominator.
-# A subclass of RationalField is equal to QQ but fails the kernel's type
-# check, so its polynomials take the generic Fraction path: the reference.
+# A subclass of RationalField is equal to QQ, but _kernel gives it a _Generic
+# kernel, so its polynomials run on lists of Fractions: the reference.
 
 
 class _GenericQQ(type(QQ)):
@@ -619,10 +622,11 @@ def test_q_kernel_zero_operands():
 def _q_rings(pi):
     """QuotientRing(QQ, pi) on the kernel, and its twin over the generic rationals."""
     from sosfield.extension import QuotientRing
+    from sosfield.poly import _Generic, _Zq
 
     kernel = QuotientRing(QQ, Poly(QQ, pi, "x"))
     generic = QuotientRing(GQ, Poly(GQ, pi, "x"))
-    assert kernel._qpi is not None and generic._qpi is None and kernel == generic
+    assert type(kernel._k) is _Zq and type(generic._k) is _Generic and kernel == generic
     return kernel, generic
 
 
@@ -676,3 +680,47 @@ def test_q_residue_ring_zero_divisor_factor():
         with pytest.raises(ZeroDivisorError):
             R.one() / z
     assert (x + 2).inverse() * (x + 2) == R.one()
+
+
+# ---------------------------------------------------------------------------
+# One kernel per coefficient field, chosen by _kernel alone.
+
+
+def test_kernel_registry():
+    from sosfield.extension import ExtField, GlobalBase, QuotElem, QuotientRing
+    from sosfield.local import BasePlace
+    from sosfield.parsing import parse_poly
+    from sosfield.poly import _Fp, _Generic, _kernel, _Kr, _Zq
+
+    F7 = FqField(7)
+    qx, f7x = GlobalBase("FF", QQ), GlobalBase("FF", F7)
+    residue_q = BasePlace(qx, Poly(QQ, [1, 1, 1], "X")).residue_field()  # Q[x]/(x^2 + x + 1)
+    K = ExtField(f7x, parse_poly("T^3-X", f7x.fraction_field()))
+    residue_7 = QuotientRing(F7, Poly(F7, [3, 0, 1], "x"))
+    for F, kind in (
+        (F7, _Fp),
+        (QQ, _Zq),
+        (residue_7, _Kr),
+        (qx.fraction_field(), _Generic),
+        (f7x.fraction_field(), _Generic),
+        (residue_q, _Generic),
+        (K, _Generic),
+        (GQ, _Generic),
+    ):
+        k = _kernel(F)
+        assert type(k) is kind, F
+        assert _kernel(F) is k and Poly.gen(F, "T").field._kernel is k
+    # the element arithmetic of a ring runs on the kernel of its coefficient field
+    assert type(residue_q._k) is _Zq and residue_q._k is _kernel(QQ)
+    assert type(residue_7._k) is _Fp and type(K._k) is _Generic
+
+    # QuotElem products and inverses agree with the Poly route
+    rng = random.Random(31)
+    for R in (residue_q, K):
+        for _ in range(6):
+            x = QuotElem(R, [R.F.rand(rng) for _ in range(R.deg)])
+            y = QuotElem(R, [R.F.rand(rng) for _ in range(R.deg)])
+            assert x * y == R.from_poly(x.rep() * y.rep())
+            if x:
+                g, s, _ = poly_ext_gcd(x.rep(), R.modulus)
+                assert g == Poly(R.F, [1], R.var) and x.inverse() == R.from_poly(s)
