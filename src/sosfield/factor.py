@@ -3,6 +3,8 @@
 Over a finite field: squarefree split, distinct-degree split, then
 Cantor-Zassenhaus equal-degree splitting under a fixed seed. Works over any
 finite field object (prime fields and quotient-ring extensions alike).
+fq_roots skips the first two: it splits gcd(T^q - T, f) at degree 1.  The
+splitting runs on packed values of poly's kernel for the field.
 
 Over Q: Yun squarefree decomposition, reduction modulo a good prime,
 multifactor Hensel lifting to a Mignotte-style bound, and subset
@@ -23,6 +25,7 @@ from .numtheory import is_prime, prime_divisors
 from .poly import (
     Poly,
     _Fp,
+    _kernel,
     _zl_add,
     _zl_divmod,
     _zl_mul,
@@ -98,24 +101,24 @@ def _distinct_degree(f):
     return out
 
 
-def _equal_degree(f, d, rng):
-    """Cantor-Zassenhaus: split monic squarefree f whose factors all have degree d."""
-    n = f.degree()
+def _equal_degree(k, F, A, d, rng):
+    """Cantor-Zassenhaus on packed values of the kernel k of a finite field F.
+
+    Splits a monic squarefree A whose factors all have degree d into them.
+    """
+    n = k.degree(A)
     if n == d:
-        return [f]
-    F, s = f.field, f.field.order()
-    e = (s**d - 1) // 2
-    one = Poly(F, [F.one()], f.var)
+        return [A]
+    e = (F.order() ** d - 1) // 2
     while True:
-        a = Poly(F, [F.rand(rng) for _ in range(n)], f.var)
-        if a.degree() < 1:
+        a = k.pack([F.rand(rng) for _ in range(n)])
+        if k.degree(a) < 1:
             continue
-        g = poly_gcd(a, f)
-        if not 0 < g.degree() < n:
-            b = poly_pow_mod(a, e, f)
-            g = poly_gcd(b - one, f)
-        if 0 < g.degree() < n:
-            return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+        g = k.gcd(a, A)
+        if not 0 < k.degree(g) < n:
+            g = k.gcd(k.sub(k.pow_mod(a, e, A), k.one), A)
+        if 0 < k.degree(g) < n:
+            return _equal_degree(k, F, g, d, rng) + _equal_degree(k, F, k.divmod(A, g)[0], d, rng)
 
 
 def factor_fq(f):
@@ -131,12 +134,13 @@ def factor_fq(f):
     unit = f.lc()
     if f.degree() == 0:
         return Factorization(unit, ())
-    rng = random.Random(0)
+    F = f.field
+    k, rng = _kernel(F), random.Random(0)
     factors = []
     for part, mult in _sqf_list_fq(f.monic()):
         for prod, d in _distinct_degree(part):
-            for irr in _equal_degree(prod, d, rng):
-                factors.append((irr.monic(), mult))
+            for irr in _equal_degree(k, F, k.pack(prod.coeffs), d, rng):
+                factors.append((Poly._raw(F, k.unpack(irr), f.var), mult))
     factors.sort(key=lambda t: t[0].sort_key())
     return Factorization(unit, tuple(factors))
 
@@ -160,9 +164,20 @@ def is_irreducible_fq(f):
 
 
 def fq_roots(f):
-    """Roots of f in its finite coefficient field, canonically sorted."""
-    roots = [-g.coeff(0) for g, _ in factor_fq(f).factors if g.degree() == 1]
-    return sorted(roots, key=f.field.sort_key)
+    """Roots of f in its finite coefficient field F of order q, canonically sorted.
+
+    g = gcd(T^q - T, f) is the product of the distinct linear factors of f,
+    and Cantor-Zassenhaus at degree 1 splits it; only the roots are unpacked.
+    """
+    if f.is_zero():
+        raise DegenerateInputError("cannot factor the zero polynomial")
+    F, k = f.field, _kernel(f.field)
+    A, x = k.pack(f.coeffs), k.pack([F.zero(), F.one()])
+    g = k.gcd(k.sub(k.pow_mod(x, F.order(), A), x), A)
+    if k.degree(g) < 1:
+        return []
+    roots = [-k.unpack(h)[0] for h in _equal_degree(k, F, g, 1, random.Random(0))]
+    return sorted(roots, key=F.sort_key)
 
 
 # ---------------------------------------------------------------------------

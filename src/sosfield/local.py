@@ -67,6 +67,7 @@ class BasePlace:
                 raise DegenerateInputError(f"{uniformizer!r} is reducible")
         self.uniformizer = uniformizer
         self._residue = None
+        self._nonreal = None  # split.residue_is_nonreal, once computed
 
     def residue_field(self):
         if self._residue is None:

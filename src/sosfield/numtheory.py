@@ -22,6 +22,7 @@ _PSI_13 = 3317044064679887385961981
 def is_prime(n):
     """Miller-Rabin to the bases _MR_BASES: a proof below psi_13.
 
+    Trial division by the bases comes first and settles every n < 43^2.
     From psi_13 on, which is itself a strong pseudoprime to those bases, a
     strong Lucas test joins them (Baillie-PSW): no composite is known to
     pass both, but none is proven impossible either.
@@ -31,6 +32,8 @@ def is_prime(n):
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:  # no prime factor up to sqrt(n) is left
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

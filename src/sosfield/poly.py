@@ -126,10 +126,10 @@ def _zl_rem(a, m, M):
 # ---------------------------------------------------------------------------
 # The kernels.  Each one has pack (field elements, trailing zeros allowed, to
 # a packed value), unpack (a packed value to a trimmed list of field
-# elements), add, sub, mul, divmod and rem by a nonzero divisor, and inv_lc
-# (the inverse of the leading coefficient, as a packed constant).  Packed
-# results are canonical, so equal polynomials pack to equal values, and no
-# operation changes its inputs.
+# elements), degree, add, sub, mul, divmod and rem by a nonzero divisor, and
+# inv_lc (the inverse of the leading coefficient, as a packed constant).
+# Packed results are canonical, so equal polynomials pack to equal values,
+# and no operation changes its inputs.
 
 
 class _Kernel:
@@ -139,6 +139,10 @@ class _Kernel:
 
     def is_zero(self, A):
         return not A
+
+    def degree(self, A):
+        """Degree of a packed value, with -1 for zero."""
+        return len(A) - 1
 
     def rem(self, A, B):
         return self.divmod(A, B)[1]
@@ -222,6 +226,13 @@ class _Fp(_Kernel):
     def inv_lc(self, A):
         return [pow(A[-1], -1, self.q)]
 
+    def eval(self, A, x):
+        """A(x) mod q for an int x, by Horner's rule on ints."""
+        acc = 0
+        for c in reversed(A):
+            acc = (acc * x + c) % self.q
+        return acc
+
 
 class _Zq(_Kernel):
     """Q[X] as (a, d), the int list a over one positive denominator d.
@@ -234,6 +245,9 @@ class _Zq(_Kernel):
 
     def is_zero(self, A):
         return not A[0]
+
+    def degree(self, A):
+        return len(A[0]) - 1
 
     def pack(self, cs):
         dens = [c.denominator for c in cs]
@@ -347,6 +361,9 @@ class _Kr(_Kernel):
             out += c
             out += [0] * (s - len(c))
         return _zl_trim(out)
+
+    def degree(self, A):
+        return (len(A) - 1) // self.s
 
     def add(self, A, B):
         return _zl_add(A, B, self.q)
@@ -649,6 +666,9 @@ class Poly:
 
     def __call__(self, point):
         """Horner evaluation. `point` must live in the coefficient domain."""
+        k = self.field._kernel
+        if type(k) is _Fp and type(point) is FqElem and point.q == k.q:
+            return FqElem(k.eval(k.pack(self.coeffs), point.val), k.q)
         acc = self.field.zero() * point if not isinstance(point, (int, Fraction)) else self.field.zero()
         for c in reversed(self.coeffs):
             acc = acc * point + c

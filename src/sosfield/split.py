@@ -10,9 +10,13 @@ every qualifying place needs: n | q^d - 1 for a binomial T^n - g with p not
 dividing n (the ratios of the n roots are n distinct n-th roots of unity),
 and 4 | q^d - 1 when a square root of -1 is required.  A skipped layer holds
 no qualifying place, so the places found do not change; only fewer
-candidates are tried.  Residue fields here are either finite or number
-fields Q[x]/(pi); both admit a complete root count, so a place is never
-reported split on partial evidence.
+candidates are tried.  At a finite residue field R of order r, two exact
+prefilters reject a candidate before the Frobenius test T^r = T mod f: a
+binomial needs n | r - 1 (over Q too), and disc(f), which is the square of
+prod(r_i - r_j) at a split place, must be a square in R.  A rejected place
+cannot split and still counts as tried, so places and counts do not change.
+Residue fields are finite or number fields Q[x]/(pi); both admit a complete
+root count, so a place is never reported split on partial evidence.
 """
 
 import itertools
@@ -185,7 +189,7 @@ def number_field_roots(L, g):
 def residue_roots(R, g):
     """All roots in a residue field R of a monic squarefree g over R, sorted.
 
-    R is finite (factorization over F_q) or a number field (Trager norms).
+    R is finite (a Frobenius gcd over F_q) or a number field (Trager norms).
     """
     if R.order() is not None:
         return fq_roots(g)
@@ -207,11 +211,14 @@ def residue_is_nonreal(base_place):
 
     Finite residue fields are always nonreal; a number field Q[x]/(pi) is
     nonreal exactly when pi has no real root.  The square root of -1, when it
-    exists, is the canonically smaller of the two.
+    exists, is the canonically smaller of the two.  Computed once per
+    BasePlace and kept on it, as its residue field is.
     """
-    R = base_place.residue_field()
-    nonreal = R.order() is not None or sturm_isolate(base_place.uniformizer).count == 0
-    return nonreal, residue_sqrt(R, -R.one())
+    if base_place._nonreal is None:
+        R = base_place.residue_field()
+        nonreal = R.order() is not None or sturm_isolate(base_place.uniformizer).count == 0
+        base_place._nonreal = nonreal, residue_sqrt(R, -R.one())
+    return base_place._nonreal
 
 
 def analyze_place(field, base_place):
@@ -223,10 +230,15 @@ def analyze_place(field, base_place):
     if base_place.valuation(field.disc) != 0:
         return None
     R = base_place.residue_field()
+    q = R.order()
+    if q is not None and (q - 1) % _binomial_degree(field.f):
+        return None
+    if q is not None and base_place.reduce(field.disc) ** ((q - 1) // 2) != R.one():
+        return None
     fbar = base_place.reduce_poly(field.f)
-    if R.order() is not None:
+    if q is not None:
         tbar = Poly.gen(R, fbar.var)
-        if poly_pow_mod(tbar, R.order(), fbar) != tbar % fbar:
+        if poly_pow_mod(tbar, q, fbar) != tbar % fbar:
             return None
     roots = residue_roots(R, fbar)
     if len(roots) != field.deg:
@@ -235,18 +247,23 @@ def analyze_place(field, base_place):
     return SplitPlaceRecord(field, base_place, tuple(roots), nonreal, sqrtm1)
 
 
+def _binomial_degree(f):
+    """n for a binomial f = T^n - g with g != 0, else 1."""
+    n = f.degree()
+    return n if f.coeff(0) and not any(f.coeffs[1:-1]) else 1
+
+
 def _roots_of_unity(field, require_sqrt_minus_one):
     """An n with n | q^d - 1 at every qualifying place of degree d over F_q.
 
     A binomial T^n - g with p not dividing n splits completely only where
     F_{q^d} holds n n-th roots of unity; a square root of -1 needs 4 | q^d - 1.
     """
-    k, f = field.base.k, field.f
+    k = field.base.k
     if k is None or k == QQ:
         return 1
-    n = f.degree()
-    binomial = n % k.q and f.coeff(0) and not any(f.coeffs[1:-1])
-    return math.lcm(n if binomial else 1, 4 if require_sqrt_minus_one else 1)
+    n = _binomial_degree(field.f)
+    return math.lcm(n if n % k.q else 1, 4 if require_sqrt_minus_one else 1)
 
 
 def find_split_places(

@@ -65,6 +65,48 @@ def test_fq_roots_vs_bruteforce():
             assert list(fq_roots(f)) == want
 
 
+def _value(f, a):
+    """f(a) as a sum of terms, independent of Poly.__call__."""
+    acc = f.field.zero()
+    for i, c in enumerate(f.coeffs):
+        acc = acc + c * a**i
+    return acc
+
+
+def _finite_fields():
+    from sosfield.extension import QuotientRing
+
+    for p in (3, 5, 7, 11, 101):
+        F = FqField(p)
+        yield F, [F.from_int(a) for a in range(p)]
+    for p, pi in ((3, [1, 0, 1]), (3, [1, 2, 0, 1]), (5, [2, 0, 1]), (5, [1, 1, 0, 1])):
+        F = FqField(p)
+        modulus = Poly(F, pi, "x")
+        assert is_irreducible_fq(modulus)
+        R = QuotientRing(F, modulus)
+        d = len(pi) - 1
+        elems = [R.from_poly(Poly(F, [i // p**j % p for j in range(d)], "x")) for i in range(p**d)]
+        yield R, elems
+
+
+def test_fq_roots_vs_every_element():
+    """Degrees 0-8 with repeated roots, a root at 0 and a non-monic leading coefficient."""
+    rng = random.Random(34)
+    for R, elems in _finite_fields():
+        T = Poly.gen(R, "T")
+        for deg in range(9):
+            for _ in range(4):
+                linear = rng.randint(0, deg)
+                f = Poly(R, [rng.choice(elems[1:])], "T")
+                for _ in range(linear):
+                    f = f * (T - rng.choice(elems[:3] + elems))
+                rest = [rng.choice(elems) for _ in range(deg - linear)]
+                f = f * Poly(R, rest + [R.one()], "T")
+                assert f.degree() == deg
+                want = sorted((a for a in elems if not _value(f, a)), key=R.sort_key)
+                assert list(fq_roots(f)) == want, (R, f)
+
+
 def test_factor_q_roundtrip():
     rng = random.Random(33)
     for _ in range(50):

@@ -28,6 +28,13 @@ def test_is_prime_small():
     assert {n for n in range(-3, 50) if is_prime(n)} == known
 
 
+def test_is_prime_matches_trial_division_below_5000():
+    # covers 41^2, 41*43, 43^2 and 43*47 around the trial-division shortcut
+    for n in range(5000):
+        want = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert is_prime(n) == want, n
+
+
 def test_is_prime_pseudoprimes():
     # Carmichael numbers fool the Fermat test; Miller-Rabin must not budge
     assert not any(map(is_prime, (561, 1105, 1729, 2465, 2821)))

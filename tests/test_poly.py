@@ -143,6 +143,24 @@ def test_poly_pow_mod_matches_naive():
         assert poly_pow_mod(a, e, m) == (a**e) % m
 
 
+def test_evaluation_at_prime_field_points():
+    """Int Horner at F_p points agrees with the sum of terms; other points keep working."""
+    rng = random.Random(8)
+    for p in (3, 7, 101):
+        F = FqField(p)
+        for _ in range(20):
+            f = _rand_poly(F, rng, rng.randrange(0, 7))
+            for a in range(p):
+                x = F.from_int(a)
+                want = sum((c * x**i for i, c in enumerate(f.coeffs)), F.zero())
+                assert f(x) == want and type(f(x)) is FqElem
+                assert f(a) == want
+    f = P(FqField(7), [1, 2, 3])
+    with pytest.raises(DegenerateInputError):
+        f(FqElem(1, 5))
+    assert P(FqField(7), [])(FqElem(3, 7)) == FqElem(0, 7)
+
+
 def test_poly_sort_key_degree_major():
     a, b, c = P(QQ, [5]), P(QQ, [0, 1]), P(QQ, [0, 0, 1])
     assert sorted([c, a, b], key=lambda p: p.sort_key()) == [a, b, c]

@@ -9,8 +9,10 @@ from sosfield.fields import QQ, FqField
 from sosfield.local import BasePlace
 from sosfield.numtheory import primes
 from sosfield.poly import Poly, RatFuncField
+from sosfield.parsing import parse_poly
 from sosfield.split import (
     SearchBudget,
+    _candidate_uniformizers,
     analyze_place,
     find_split_places,
     number_field_roots,
@@ -204,6 +206,59 @@ def test_residue_is_nonreal():
     nonreal, i = residue_is_nonreal(w_im)
     R = w_im.residue_field()
     assert nonreal and i == -R.gen()
+
+
+def test_residue_is_nonreal_is_kept_on_the_place(monkeypatch):
+    from sosfield import split
+    from sosfield.witness import sos_uniformizer
+
+    rec = find_split_places(_qx_field()).records[0]
+    calls = []
+    real = split.sturm_isolate
+    monkeypatch.setattr(split, "sturm_isolate", lambda f: calls.append(f) or real(f))
+    assert residue_is_nonreal(rec.base_place) == (rec.nonreal, rec.sqrt_minus_one)
+    sos_uniformizer(rec.base_place)
+    assert calls == []
+    # the verifier recomputes on a fresh place
+    assert verify_split_place(rec).ok and len(calls) == 1
+
+
+def _count_roots(fbar, elems):
+    """Roots of fbar among elems, evaluated term by term."""
+    return sum(1 for a in elems if not sum((c * a**i for i, c in enumerate(fbar.coeffs)), a * 0))
+
+
+@pytest.mark.parametrize(
+    "text", ["T^2-2", "T^3-T-1", "T^3-3*T+1", "T^4+6*T^3-4*T+2", "T^5-3", "T^6+3"]
+)
+def test_prefilters_keep_every_split_prime_over_q(text):
+    """analyze_place is None exactly when f has fewer than deg f roots mod p."""
+    base = GlobalBase("Q")
+    K = ExtField(base, parse_poly(text, QQ))
+    coeffs = [int(c) for c in K.f.coeffs]
+    values = [sum(c * x**i for i, c in enumerate(coeffs)) for x in range(2000)]
+    disc = K.disc.numerator
+    for p in primes(3):
+        if p >= 2000:
+            break
+        if disc % p:
+            roots = sum(1 for v in values[:p] if v % p == 0)
+            assert (analyze_place(K, BasePlace(base, p)) is None) == (roots < K.deg), p
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("text", ["T^2-X^2-X-1", "T^3-X", "T^3-T-X", "T^4-X"])
+def test_prefilters_keep_every_split_place_over_fq(q, text):
+    base = GlobalBase("FF", FqField(q))
+    K = ExtField(base, parse_poly(text, base.fraction_field()))
+    for pi in _candidate_uniformizers(base, SearchBudget(max_size=2)):
+        place = BasePlace(base, pi)
+        if place.valuation(K.disc):
+            continue
+        R, d = place.residue_field(), pi.degree()
+        elems = [R.from_poly(Poly(R.F, [i // q**j % q for j in range(d)], "x")) for i in range(q**d)]
+        roots = _count_roots(place.reduce_poly(K.f), elems)
+        assert (analyze_place(K, place) is None) == (roots < K.deg), pi
 
 
 def test_verify_split_place_rejects_tampering():
