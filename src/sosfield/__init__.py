@@ -17,7 +17,7 @@ from .errors import (
     UndecidedError,
     ZeroDivisorError,
 )
-from .fields import QQ, FqField, rat_is_square, rat_sqrt, field_sqrt
+from .fields import QQ, FqField, rat_is_square, field_sqrt
 from .poly import Poly, RatFunc, RatFuncField, discriminant, resultant
 from .extension import ExtField, GlobalBase, QuotElem, QuotientRing, field_norm
 from .factor import factor_fq, factor_q, is_irreducible_fq, sturm_isolate
@@ -43,7 +43,6 @@ from .witness import (
     WitnessCertificate,
     nonpyth_witness,
     sos_uniformizer,
-    tau_hit,
     verify_certificate,
 )
 from .ratlocal import (
@@ -55,7 +54,6 @@ from .ratlocal import (
     hensel_criterion,
     hilbert_symbol,
     pyth_chain_reduce,
-    q2_class_of,
     q2_is_square,
     q2_square_classes,
     three_square_test,
@@ -64,11 +62,9 @@ from .ratlocal import (
     verify_pyth_chain,
 )
 from .orderings import (
-    NormProbeReport,
     RealEmbedding,
     SignPatternWitness,
     indefinite_witness,
-    norm_product_probe,
     real_embeddings,
     sign_at,
     verify_sign_witness,

@@ -403,10 +403,6 @@ def _kind_of(obj):
     raise ParseError(f"{type(obj).__name__} is not a certificate type")
 
 
-def certificate_kind(obj):
-    return _kind_of(obj).name
-
-
 def verify(obj):
     """(kind name, CheckResult) of an independent re-check of a certificate."""
     kind = _kind_of(obj)

@@ -183,6 +183,9 @@ def _cmd_hilbert(args):
 
 
 def _cmd_two_squares(args):
+    for flag, value in (("--bound", args.bound), ("--rho-rounds", args.rho_rounds)):
+        if value < 0:
+            raise ParseError(f"{flag} must be >= 0, not {value}")
     q = parse_rational(args.q)
     res = two_square_test(
         q, trial_bound=args.bound, rho_rounds=args.rho_rounds, seed=args.seed

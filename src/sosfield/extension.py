@@ -85,9 +85,6 @@ class GlobalBase:
             return Fraction(r)
         return RatFunc(r)
 
-    def ring_one(self):
-        return 1 if self.kind == "Q" else Poly(self.k, [self.k.one()], "X")
-
     def ring_zero(self):
         return 0 if self.kind == "Q" else Poly(self.k, [], "X")
 

@@ -11,7 +11,6 @@ overloading. Polynomials and quotient rings are generic over this protocol:
 Rationals are stdlib Fraction; prime fields use FqElem with q an odd prime.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -65,13 +64,6 @@ QQ = RationalField()
 def rat_is_square(x):
     """Whether the rational x is a square of a rational."""
     return x >= 0 and is_square_int(x.numerator) and is_square_int(x.denominator)
-
-
-def rat_sqrt(x):
-    """Exact square root of a rational known to be a square."""
-    if not rat_is_square(x):
-        raise DegenerateInputError(f"{x} is not a rational square")
-    return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
 
 
 class FqElem:

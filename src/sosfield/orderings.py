@@ -5,7 +5,6 @@ interval for one of its real roots.  Signs are decided exactly: interval
 Horner evaluation, with bisection refinement until the sign is unambiguous.
 """
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,10 +14,12 @@ from .errors import (
     DegenerateInputError,
     PrecisionExhaustedError,
 )
-from .extension import field_norm
 from .factor import refine_interval, sturm_isolate
-from .fields import rat_is_square
 from .split import _frac_height, height_tuples
+
+# indefinite_witness budget: coordinate heights searched, and (x, y) pairs tried
+INDEFINITE_MAX_HEIGHT = 8
+INDEFINITE_MAX_PAIRS = 20000
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,6 @@ class RealEmbedding:
     minpoly: object
     lo: Fraction
     hi: Fraction
-
-    def refine(self, width):
-        lo, hi = refine_interval(self.minpoly, self.lo, self.hi, width)
-        return RealEmbedding(self.minpoly, lo, hi)
 
 
 def real_embeddings(field):
@@ -109,13 +106,14 @@ def _height_layer(field, h):
     return [(field.from_base(a) + field.from_base(b) * theta, h) for a, b in fresh]
 
 
-def indefinite_witness(field, alpha, e1, e2, max_height=8, max_pairs=20000):
+def indefinite_witness(field, alpha, e1, e2):
     """Find beta = x^2 + y^2 alpha positive under e1 and negative under e2.
 
     Precondition: alpha is negative under both embeddings, so neither sign
     of beta is forced.  The pair (x, y) is searched smallest-height first,
     building the candidates of each height only when the search reaches it,
-    and the returned witness carries exact certified signs.
+    and the returned witness carries exact certified signs.  The search
+    stops after INDEFINITE_MAX_HEIGHT heights or INDEFINITE_MAX_PAIRS pairs.
     """
     alpha = field.coerce(alpha)
     if sign_at(e1, alpha) != -1 or sign_at(e2, alpha) != -1:
@@ -124,23 +122,23 @@ def indefinite_witness(field, alpha, e1, e2, max_height=8, max_pairs=20000):
         )
     pool = []  # (element, height) for the heights reached so far, ascending
     tried = 0
-    for h in range(1, max_height + 1):
+    for h in range(1, INDEFINITE_MAX_HEIGHT + 1):
         pool.extend(_height_layer(field, h))
         for x, hx in pool:
             for y, hy in pool:
                 if max(hx, hy) != h:
                     continue
                 tried += 1
-                if tried > max_pairs:
+                if tried > INDEFINITE_MAX_PAIRS:
                     raise BudgetExhaustedError(
-                        f"no sign-splitting pair within {max_pairs} candidates"
+                        f"no sign-splitting pair within {INDEFINITE_MAX_PAIRS} candidates"
                     )
                 beta = x * x + y * y * alpha
                 if not beta:
                     continue
                 if sign_at(e1, beta) == 1 and sign_at(e2, beta) == -1:
                     return SignPatternWitness(alpha, (x, y), (e1, e2), (1, -1))
-    raise BudgetExhaustedError(f"no sign-splitting pair up to height {max_height}")
+    raise BudgetExhaustedError(f"no sign-splitting pair up to height {INDEFINITE_MAX_HEIGHT}")
 
 
 def verify_sign_witness(witness):
@@ -158,51 +156,3 @@ def verify_sign_witness(witness):
     except (DegenerateInputError, PrecisionExhaustedError, AttributeError) as exc:
         return CheckResult(False, f"malformed witness: {exc}")
     return CheckResult(True, "ok")
-
-
-@dataclass(frozen=True)
-class NormProbeReport:
-    """Sampled check of the norm product identity on sums of squares."""
-
-    samples: int
-    identity_failures: int
-    square_yes: int
-    square_no: int
-    square_untested: int
-
-
-def norm_product_probe(field, samples=20, seed=0):
-    """Check N(alpha * N(alpha)) = N(alpha)^(n+1) on random sums of squares.
-
-    Odd-degree extensions only.  Whether alpha * N(alpha) is itself a square
-    is decided in the degree-1 case and reported as untested otherwise;
-    no claim is fabricated for degrees where no exact test is implemented.
-    """
-    n = field.deg
-    if n % 2 == 0:
-        raise DegenerateInputError("norm_product_probe needs odd degree")
-    rng = random.Random(seed)
-    failures = 0
-    yes = no = untested = 0
-    done = 0
-    while done < samples:
-        terms = [field.rand(rng) for _ in range(rng.randint(2, 4))]
-        alpha = field.zero()
-        for t in terms:
-            alpha = alpha + t * t
-        if not alpha:
-            continue
-        done += 1
-        na = field_norm(alpha)
-        lhs = field_norm(alpha * field.from_base(na))
-        if lhs != na ** (n + 1):
-            failures += 1
-        if n == 1 and field.base.kind == "Q":
-            product = alpha * field.from_base(na)
-            if rat_is_square(Fraction(product.coords[0])):
-                yes += 1
-            else:
-                no += 1
-        else:
-            untested += 1
-    return NormProbeReport(samples, failures, yes, no, untested)

@@ -507,10 +507,6 @@ class Poly:
         return p
 
     @classmethod
-    def const(cls, field, c, var):
-        return cls(field, [c], var)
-
-    @classmethod
     def gen(cls, field, var):
         return cls(field, [field.zero(), field.one()], var)
 

@@ -174,9 +174,6 @@ def q2_is_square(q):
 
 Q2_REPRESENTATIVES = (1, -1, 2, -2, 5, -5, 10, -10)
 
-_UNIT_CLASS = {1: 1, 7: -1, 5: 5, 3: -5}
-
-
 @dataclass(frozen=True)
 class SquareClassQ2:
     representative: int
@@ -209,18 +206,6 @@ def q2_square_classes():
             ratio = Fraction(r1, r2)
             proofs.append((r1, r2, ratio, q2_is_square(ratio)))
     return SquareClassTable(classes, tuple(proofs))
-
-
-def q2_class_of(q):
-    """The canonical representative of q's square class in Q_2."""
-    q = Fraction(q)
-    if q == 0:
-        raise DegenerateInputError("zero has no square class")
-    e, u = _rat_unit_valuation(q, 2)
-    rep = _UNIT_CLASS[_mod8(u)] * (2 if e % 2 else 1)
-    if not q2_is_square(q / rep):
-        raise PrecisionExhaustedError("square class bookkeeping failed")
-    return SquareClassQ2(rep)
 
 
 @dataclass(frozen=True)

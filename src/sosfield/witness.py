@@ -1,28 +1,24 @@
-"""Sums of squares with prescribed valuations, and the non-containment witness.
+"""The non-containment witness: a sum of squares with mixed valuation parities.
 
-The pipeline: a base place with nonreal residue field admits a sum of squares
-y in E of valuation exactly 1; for a split place w_i with residue root lifted
-to a_i, y + (T - a_i)^2 has valuation 1 at w_i and 0 at the other places
-above, and squares of weak_approx elements close any even gap, so any integer
-valuation vector is hit.  Asking for an odd entry at exactly one place
-produces sigma in Sum(K^2) whose valuation parities differ between places,
-which no element of E*K^2 can do.  Certificates carry the construction and
-are re-verified from scratch, trusting nothing.
+The construction: a base place with nonreal residue field admits a sum of
+squares y in E of valuation exactly 1; for a split place w_0 with residue
+root lifted to a_0, sigma = y + (T - a_0)^2 has valuation 1 at w_0 and 0 at
+the other places above.  So sigma is in Sum(K^2) with valuation parities that
+differ between places, which no element of E*K^2 can have.  Certificates
+carry the construction and are re-verified from scratch, trusting nothing.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 from .errors import (
     CheckResult,
     DegenerateInputError,
-    PrecisionExhaustedError,
     RepresentationNotFoundError,
     SosfieldError,
 )
 from .fields import QQ
-from .local import ValuationVector, check_places, ext_valuation, valuation_vector, weak_approx
+from .local import ValuationVector, ext_valuation
 from .numtheory import legendre
 from .poly import Poly
 from .split import height_tuples, residue_is_nonreal, residue_sqrt, verify_split_place
@@ -73,24 +69,6 @@ class SosExpr:
             value = _square_sum(self.field, self.terms)
             self._squares = (self.terms, value)
         return value
-
-    def __mul__(self, other):
-        if not isinstance(other, SosExpr) or other.field != self.field:
-            return NotImplemented
-        # (sum a_i^2)(sum b_j^2) = sum over pairs (a_i b_j)^2
-        return SosExpr(
-            self.field, [a * b for a, b in itertools.product(self.terms, other.terms)]
-        )
-
-    def plus_square(self, z):
-        return SosExpr(self.field, list(self.terms) + [z])
-
-    def scale_square(self, c):
-        """Multiply the value by c^2 without changing the term count."""
-        cc = self.field.coerce(c)
-        if cc is None or cc == self.field.zero():
-            raise DegenerateInputError("scale factor must be a nonzero field element")
-        return SosExpr(self.field, [cc * t for t in self.terms])
 
     def __eq__(self, other):
         return (
@@ -173,38 +151,6 @@ def sos_uniformizer(place):
     return expr
 
 
-def tau_hit(places, target):
-    """A sum of squares sigma in K with prescribed valuations at the places.
-
-    Each odd coordinate i contributes the factor y + (T - a_i)^2, with y from
-    sos_uniformizer and T - a_i = places[i].root_offset(): (T - a_i)^2 has
-    valuation at least 2 at place i and 0 at the others, so the factor has
-    valuation 1 at i and 0 elsewhere.  The remaining even gap is closed by
-    scaling with the square of a weak_approx element.  The finished sigma is
-    checked against the target before returning.
-    """
-    places = list(places)
-    field = check_places(places)
-    if len(target) != len(places):
-        raise DegenerateInputError("one target per place")
-    target = [int(t) for t in target]
-    odd = [i for i, t in enumerate(target) if t % 2]
-    if odd:
-        y_expr = sos_uniformizer(places[0].base_place)
-        y_terms = [field.from_base(t) for t in y_expr.terms]
-        pieces = [SosExpr(field, y_terms + [places[i].root_offset()]) for i in odd]
-        sigma = functools.reduce(SosExpr.__mul__, pieces)
-    else:
-        sigma = SosExpr(field, [field.one()])
-    # the pieces give t % 2 at each place, so the even gap is 2 * (t // 2)
-    halves = [t // 2 for t in target]
-    if any(halves):
-        sigma = sigma.scale_square(weak_approx(places, halves))
-    if valuation_vector(places, sigma.value).values != tuple(target):
-        raise PrecisionExhaustedError("constructed element missed its target valuations")
-    return sigma
-
-
 @dataclass(frozen=True)
 class WitnessCertificate:
     """Everything needed to re-check sigma in Sum(K^2) but not in E*K^2."""
@@ -223,9 +169,10 @@ class WitnessCertificate:
 def nonpyth_witness(field, record):
     """Certificate that Sum(K^2) is not contained in E*K^2.
 
-    Builds sigma with valuation 1 at the record's first place and 0 at the
-    others (tau_hit has checked that vector), then re-verifies the finished
-    certificate on fresh places before returning it.
+    sigma = y + (T - a_0)^2, with y from sos_uniformizer and T - a_0 the
+    first place's root_offset(), has valuation 1 at that place and 0 at the
+    others.  The finished certificate is re-verified on fresh places, which
+    recomputes every valuation, before it is returned.
     """
     if record.field != field:
         raise DegenerateInputError("record belongs to a different field")
@@ -234,9 +181,9 @@ def nonpyth_witness(field, record):
     if field.deg < 2:
         raise DegenerateInputError("need an extension of degree at least 2")
     places = record.ext_places()
-    target = [1] + [0] * (len(places) - 1)
-    sos = tau_hit(places, target)
-    vals = ValuationVector(places, tuple(target))
+    y = sos_uniformizer(record.base_place)
+    sos = SosExpr(field, [field.from_base(t) for t in y.terms] + [places[0].root_offset()])
+    vals = ValuationVector(places, (1,) + (0,) * (len(places) - 1))
     cert = WitnessCertificate(field, record, sos, vals, 0)
     check = verify_certificate(cert)
     if not check:

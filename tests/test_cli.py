@@ -121,6 +121,22 @@ def test_split_places_negative_cap_is_malformed(capsys):
     assert code == 0 and "tried 3 candidates" in out
 
 
+def test_two_squares_negative_bounds_are_malformed(capsys):
+    # 0 is a valid trial bound, and --rho-rounds 0 disables Pollard rho
+    for argv in (
+        ("221", "--bound", "-5"),
+        ("21", "--bound", "-1", "--rho-rounds", "0"),
+        ("221", "--rho-rounds", "-1"),
+    ):
+        code, out, err = run(capsys, "two-squares", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    code, out, _ = run(capsys, "two-squares", "221", "--bound", "0")
+    assert code == 0 and "221 = " in out
+    code, out, _ = run(capsys, "two-squares", "9", "--rho-rounds", "0")
+    assert code == 0 and "9 = " in out
+
+
 def test_wall_budget_is_named_on_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "SearchBudget", functools.partial(SearchBudget, wall_seconds=0))
     for argv in (("split-places", "--max-candidates", "5"), ("witness",)):

@@ -7,7 +7,7 @@ import pytest
 from sosfield.errors import DegenerateInputError
 from sosfield.extension import QuotElem, QuotientRing
 from sosfield.factor import is_irreducible_fq
-from sosfield.fields import QQ, FqField, field_sqrt, rat_is_square, rat_sqrt
+from sosfield.fields import QQ, FqField, field_sqrt, rat_is_square
 from sosfield.poly import Poly
 
 
@@ -24,13 +24,6 @@ def test_rat_is_square():
     assert not rat_is_square(Fraction(2))
     assert not rat_is_square(Fraction(-1))
     assert not rat_is_square(Fraction(9, 8))
-
-
-def test_rat_sqrt():
-    assert rat_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rat_sqrt(Fraction(0)) == 0
-    with pytest.raises(DegenerateInputError):
-        rat_sqrt(Fraction(2))
 
 
 def test_fq_requires_odd_prime():

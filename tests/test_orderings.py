@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from sosfield import orderings
 from sosfield.errors import BudgetExhaustedError, DegenerateInputError
 from sosfield.extension import ExtField, GlobalBase
-from sosfield.factor import factor_q
+from sosfield.factor import factor_q, refine_interval
 from sosfield.fields import QQ, FqField
 from sosfield.orderings import (
     indefinite_witness,
-    norm_product_probe,
     real_embeddings,
     sign_at,
     verify_sign_witness,
@@ -46,8 +46,8 @@ def test_real_embedding_count_parity_random():
         assert (deg - len(embs)) % 2 == 0
         for e in embs:
             assert e.lo < e.hi
-            r = e.refine(Fraction(1, 10**9))
-            assert r.hi - r.lo < Fraction(1, 10**9)
+            lo, hi = refine_interval(e.minpoly, e.lo, e.hi, Fraction(1, 10**9))
+            assert hi - lo < Fraction(1, 10**9)
 
 
 def test_real_embeddings_preconditions():
@@ -138,16 +138,31 @@ def test_indefinite_witness_rational_alpha():
     assert sign_at(pos, beta) == 1 and sign_at(neg, beta) == -1
 
 
-def test_indefinite_witness_preconditions_and_budget():
+def _indefinite_witness(
+    monkeypatch,
+    field,
+    alpha,
+    e1,
+    e2,
+    max_height=orderings.INDEFINITE_MAX_HEIGHT,
+    max_pairs=orderings.INDEFINITE_MAX_PAIRS,
+):
+    """indefinite_witness under the given search budget."""
+    monkeypatch.setattr(orderings, "INDEFINITE_MAX_HEIGHT", max_height)
+    monkeypatch.setattr(orderings, "INDEFINITE_MAX_PAIRS", max_pairs)
+    return indefinite_witness(field, alpha, e1, e2)
+
+
+def test_indefinite_witness_preconditions_and_budget(monkeypatch):
     K = _q_field([-2, 0, 1])
     neg, pos = real_embeddings(K)
     t = K.gen()
     with pytest.raises(DegenerateInputError):
         indefinite_witness(K, t, pos, neg)  # positive under pos
     with pytest.raises(BudgetExhaustedError):
-        indefinite_witness(K, K.from_int(-2), pos, neg, max_pairs=3)
+        _indefinite_witness(monkeypatch, K, K.from_int(-2), pos, neg, max_pairs=3)
     with pytest.raises(BudgetExhaustedError):
-        indefinite_witness(K, K.from_int(-2), pos, neg, max_height=0)
+        _indefinite_witness(monkeypatch, K, K.from_int(-2), pos, neg, max_height=0)
 
 
 def _eager_element_pool(field, max_height):
@@ -198,7 +213,7 @@ def _eager_search(field, alpha, e1, e2, max_height=8, max_pairs=20000):
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
-def test_indefinite_witness_matches_eager_pool(d):
+def test_indefinite_witness_matches_eager_pool(d, monkeypatch):
     K = _q_field([-d, 0, 1])
     e0, e1 = real_embeddings(K)
     t = K.gen()
@@ -207,22 +222,24 @@ def test_indefinite_witness_matches_eager_pool(d):
     cases += ((K.from_int(-20), e1, e0),)
     for alpha, pos, neg in cases:
         pair, tried = _eager_search(K, alpha, pos, neg, max_height=3)
-        w = indefinite_witness(K, alpha, pos, neg, max_height=3)
+        w = _indefinite_witness(monkeypatch, K, alpha, pos, neg, max_height=3)
         assert (w.pair, w.embeddings, w.signs) == (pair, (pos, neg), (1, -1))
         # the budget runs out at the same candidate
         for budget in (tried - 1, tried // 2):
             if budget < 1:
                 continue
             with pytest.raises(BudgetExhaustedError) as lazy:
-                indefinite_witness(K, alpha, pos, neg, max_height=3, max_pairs=budget)
+                _indefinite_witness(
+                    monkeypatch, K, alpha, pos, neg, max_height=3, max_pairs=budget
+                )
             with pytest.raises(BudgetExhaustedError) as eager:
                 _eager_search(K, alpha, pos, neg, max_height=3, max_pairs=budget)
             assert str(lazy.value) == str(eager.value)
-        w = indefinite_witness(K, alpha, pos, neg, max_height=3, max_pairs=tried)
+        w = _indefinite_witness(monkeypatch, K, alpha, pos, neg, max_height=3, max_pairs=tried)
         assert w.pair == pair
 
 
-def test_indefinite_witness_height_exhaustion_matches_eager_pool():
+def test_indefinite_witness_height_exhaustion_matches_eager_pool(monkeypatch):
     # up to height 2, x^2 < 24 and y^2 > 1/25 for y != 0 under both
     # embeddings, so alpha = -1000 leaves every beta with y != 0 negative
     K = _q_field([-2, 0, 1])
@@ -230,7 +247,7 @@ def test_indefinite_witness_height_exhaustion_matches_eager_pool():
     alpha = K.from_int(-1000)
     for max_height in (0, 1, 2):
         with pytest.raises(BudgetExhaustedError) as lazy:
-            indefinite_witness(K, alpha, pos, neg, max_height=max_height)
+            _indefinite_witness(monkeypatch, K, alpha, pos, neg, max_height=max_height)
         with pytest.raises(BudgetExhaustedError) as eager:
             _eager_search(K, alpha, pos, neg, max_height=max_height)
         assert str(lazy.value) == str(eager.value)
@@ -253,24 +270,3 @@ def test_verify_sign_witness_rejects_tampering():
 
     zero_beta = dataclasses.replace(w, pair=(K.zero(), K.zero()))
     assert not verify_sign_witness(zero_beta).ok
-
-
-def test_norm_product_probe_identity():
-    K = _q_field([-2, 0, 0, 1])  # cbrt(2), degree 3
-    report = norm_product_probe(K, samples=100, seed=0)
-    assert report.samples == 100
-    assert report.identity_failures == 0
-    assert report.square_untested == 100
-
-
-def test_norm_product_probe_degree_one_squares():
-    lin = ExtField(GlobalBase("Q"), Poly(QQ, [Fraction(-1), Fraction(1)], "T"))
-    report = norm_product_probe(lin, samples=50, seed=1)
-    assert report.identity_failures == 0
-    # alpha * N(alpha) = alpha^2 in degree 1: always a square
-    assert report.square_yes == 50 and report.square_no == 0
-
-
-def test_norm_product_probe_rejects_even_degree():
-    with pytest.raises(DegenerateInputError):
-        norm_product_probe(_q_field([-2, 0, 1]))

@@ -124,8 +124,8 @@ def _ref_element(text, K):
 def _ref_modulus(text, E):
     consts = {"T": Poly.gen(E, "T")}
     if isinstance(E, RatFuncField):
-        consts["X"] = Poly.const(E, E.gen(), "T")
-    return _reference(text, consts, Poly.const(E, E.one(), "T"))
+        consts["X"] = Poly(E, [E.gen()], "T")
+    return _reference(text, consts, Poly(E, [E.one()], "T"))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_parse_rational():
 
 def test_parse_poly_over_q():
     T = Poly.gen(QQ, "T")
-    one = Poly.const(QQ, QQ.one(), "T")
+    one = Poly(QQ, [QQ.one()], "T")
     f = parse_poly("T^2 - 2", QQ)
     assert f == T * T - one * 2
     assert parse_poly("(T+1)*(T-1)", QQ) == T * T - one
@@ -160,7 +160,7 @@ def test_parse_poly_over_q():
 
 def test_parse_case_insensitive_variable():
     T = Poly.gen(QQ, "T")
-    one = Poly.const(QQ, QQ.one(), "T")
+    one = Poly(QQ, [QQ.one()], "T")
     assert parse_poly("t^2 - 2", QQ) == T * T - one * 2
 
 
@@ -195,7 +195,7 @@ def test_parse_render_roundtrip_quotelem():
 
 
 def test_parse_division_and_unary_minus():
-    one = Poly.const(QQ, QQ.one(), "T")
+    one = Poly(QQ, [QQ.one()], "T")
     T = Poly.gen(QQ, "T")
     assert parse_poly("-T/2 + 1", QQ) == T * Fraction(-1, 2) + one
     assert parse_poly("--3", QQ) == one * 3
@@ -214,13 +214,13 @@ def test_parse_division_by_zero_is_parse_error():
 
 def test_render_poly_frozen_forms():
     T = Poly.gen(QQ, "T")
-    one = Poly.const(QQ, QQ.one(), "T")
+    one = Poly(QQ, [QQ.one()], "T")
     assert render_poly(T * T - one * 2) == "T^2 - 2"
     assert render_poly(Poly(QQ, [Fraction(1, 2), -1, 1], "T")) == "T^2 - T + 1/2"
     assert render_poly(Poly(QQ, [], "T")) == "0"
     F7 = FqField(7)
     X = Poly.gen(F7, "X")
-    assert render_poly(X + Poly.const(F7, F7.coerce(6), "X")) == "X + 6"
+    assert render_poly(X + Poly(F7, [F7.coerce(6)], "X")) == "X + 6"
 
 
 # ---------------------------------------------------------------------------

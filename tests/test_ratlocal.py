@@ -15,7 +15,6 @@ from sosfield.ratlocal import (
     hensel_criterion,
     hilbert_symbol,
     pyth_chain_reduce,
-    q2_class_of,
     q2_is_square,
     q2_square_classes,
     three_square_test,
@@ -252,20 +251,6 @@ def test_q2_square_classes_table():
         assert q2_is_square(ratio) is False
         seen.add(frozenset((r1, r2)))
     assert len(seen) == 28
-
-
-def test_q2_class_of():
-    rng = random.Random(65)
-    for r in Q2_REPRESENTATIVES:
-        assert q2_class_of(r).representative == r
-    for _ in range(120):
-        q = _rand_nonzero_rational(rng)
-        rep = q2_class_of(q).representative
-        assert q2_is_square(q / rep)
-        s = _rand_nonzero_rational(rng)
-        assert q2_class_of(q * s * s).representative == rep
-    with pytest.raises(DegenerateInputError):
-        q2_class_of(0)
 
 
 def test_dyadic_certificate_frozen():
