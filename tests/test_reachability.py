@@ -57,7 +57,9 @@ def _definitions():
                 methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
                 rest = [m for m in node.body if not isinstance(m, ast.FunctionDef)]
                 shell = node.bases + node.keywords + node.decorator_list + rest
-                dunders = tuple(f"{mod}.{node.name}.{m.name}" for m in methods if _is_dunder(m.name))
+                dunders = tuple(
+                    f"{mod}.{node.name}.{m.name}" for m in methods if _is_dunder(m.name)
+                )
                 defs[f"{mod}.{node.name}"] = (node.name, _mentioned(shell), dunders)
                 for m in methods:
                     defs[f"{mod}.{node.name}.{m.name}"] = (m.name, _mentioned([m]), ())
