@@ -97,6 +97,8 @@ class GlobalBase:
             return d
         d = Poly(self.k, [self.k.one()], "X")
         for e in elems:
+            if e.is_poly():  # den is monic, so it is 1
+                continue
             g = poly_gcd(d, e.den)
             d = (d * e.den) // g if g.degree() > 0 else d * e.den
         return d.monic()
@@ -365,7 +367,7 @@ def _ratfunc_roots(base, f):
     place = BasePlace(base, pi)
     bound = _root_bound(f)
     roots = []
-    for r in residue_roots(place.residue_field(), place.reduce_poly(f)):
+    for r in residue_roots(place.residue_field(), place.reduce_modulus(f)[0]):
         g = hensel_lift_root(place, f, r, bound // pi.degree() + 1).value
         if g.degree() <= bound and not f(RatFunc(g)):
             roots.append(g)

@@ -176,6 +176,21 @@ def fq_roots(f):
     g = k.gcd(k.sub(k.pow_mod(x, F.order(), A), x), A)
     if k.degree(g) < 1:
         return []
+    return _linear_roots(k, F, g)
+
+
+def fq_split_roots(f):
+    """Roots of a monic f over a finite field F of order q, where f | T^q - T.
+
+    Such an f is a product of distinct linear factors, so it is its own
+    gcd(T^q - T, f) and goes straight to the degree-1 split of fq_roots.
+    """
+    k = _kernel(f.field)
+    return _linear_roots(k, f.field, k.pack(f.coeffs))
+
+
+def _linear_roots(k, F, g):
+    """Sorted roots of a packed monic g that is a product of distinct linear factors."""
     roots = [-k.unpack(h)[0] for h in _equal_degree(k, F, g, 1, random.Random(0))]
     return sorted(roots, key=F.sort_key)
 

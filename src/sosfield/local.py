@@ -19,7 +19,7 @@ from .fields import QQ, FqElem, FqField
 from .numtheory import is_prime
 from .poly import Poly, poly_ext_gcd
 
-PRECISION_START = 2
+PRECISION_START = 1
 PRECISION_CEILING = 2**14
 
 
@@ -68,6 +68,7 @@ class BasePlace:
         self.uniformizer = uniformizer
         self._residue = None
         self._nonreal = None  # split.residue_is_nonreal, once computed
+        self._modulus = None  # (f, fbar, fbar') of the last f reduce_modulus reduced
 
     def residue_field(self):
         if self._residue is None:
@@ -132,6 +133,17 @@ class BasePlace:
         R = self.residue_field()
         return Poly(R, [self.reduce(c) for c in f.coeffs], f.var)
 
+    def reduce_modulus(self, f):
+        """(fbar, fbar') for a defining polynomial f, reduced once per f.
+
+        The split test, the places above and Hensel lifting all read the same
+        reduction, so it is kept for the last f (by identity).
+        """
+        if self._modulus is None or self._modulus[0] is not f:
+            fbar = self.reduce_poly(f)
+            self._modulus = (f, fbar, fbar.derivative())
+        return self._modulus[1:]
+
     def __eq__(self, other):
         return (
             isinstance(other, BasePlace)
@@ -172,11 +184,11 @@ def hensel_lift_root(place, f, residue_root, precision):
         raise PrecisionExhaustedError(f"precision {precision} out of range")
     base = place.base
     R = place.residue_field()
-    fbar = place.reduce_poly(f)
+    fbar, dbar = place.reduce_modulus(f)
     root = R.coerce(residue_root)
     if fbar(root) != R.zero():
         raise DegenerateInputError("not a residue root")
-    if fbar.derivative()(root) == R.zero():
+    if dbar(root) == R.zero():
         raise DegenerateInputError("residue root is not simple")
     coeffs = [base.to_ring(c) for c in f.coeffs]
     deriv = [i * coeffs[i] for i in range(1, len(coeffs))]
@@ -199,7 +211,9 @@ class ExtPlace:
     """A completely split, residue-degree-1 place of an extension field.
 
     Determined by the place below and one simple residue root of the defining
-    polynomial.  Lifts are cached at the highest precision computed so far.
+    polynomial.  The checked residue root is its own lift at precision 1, so a
+    new place holds that lift and does no Hensel lifting; deeper lifts are
+    cached at the highest precision computed so far.
     """
 
     def __init__(self, field, base_place, residue_root):
@@ -209,17 +223,17 @@ class ExtPlace:
         self.base_place = base_place
         R = base_place.residue_field()
         root = R.coerce(residue_root)
-        fbar = base_place.reduce_poly(field.modulus)
+        fbar, dbar = base_place.reduce_modulus(field.modulus)
         if fbar(root) != R.zero():
             raise DegenerateInputError("not a root of the defining polynomial")
-        if fbar.derivative()(root) == R.zero():
+        if dbar(root) == R.zero():
             raise DegenerateInputError("residue root is not simple")
         self.residue_root = root
-        self._cache = None
+        self._cache = PadicApprox(base_place, base_place.lift_residue(root), 1)
 
     def lift(self, precision):
         """Root of the defining polynomial modulo pi**precision."""
-        if self._cache is None or self._cache.precision < precision:
+        if self._cache.precision < precision:
             self._cache = hensel_lift_root(
                 self.base_place, self.field.modulus, self.residue_root, precision
             )
@@ -252,11 +266,12 @@ class ExtPlace:
 def ext_valuation(place, x):
     """Exact valuation of a nonzero extension element at a split place.
 
-    Clears denominators, evaluates the numerator polynomial at the lifted
-    root modulo pi**N, and reads the valuation.  N starts at PRECISION_START
-    = 2, the least that certifies a valuation of 1 (v < N), or at the
-    precision already cached for the place, and doubles until the value is
-    certified below it, up to PRECISION_CEILING.
+    Clears denominators, evaluates the numerator polynomial h at the lifted
+    root modulo pi**N, and reads the valuation, which is certified once it is
+    below N.  N starts at PRECISION_START = 1, or at the precision already
+    cached for the place, and doubles up to PRECISION_CEILING.  At N = 1 the
+    lift is the residue root r itself, and h(theta) = h(r) mod pi, so a unit
+    costs one evaluation mod pi and no Hensel lifting.
     """
     field = place.field
     x = field.coerce(x)
@@ -266,11 +281,14 @@ def ext_valuation(place, x):
     bp = place.base_place
     den = base.common_denominator(list(x.coords))
     den_e = base.from_ring(den)
-    coeffs = [base.to_ring(c * den_e) for c in x.coords]
+    coeffs = [base.to_ring(c if den == 1 else c * den_e) for c in x.coords]
     vden = bp.ring_valuation(den)
-    n = PRECISION_START
-    if place._cache is not None:
-        n = max(n, place._cache.precision)
+    n = max(PRECISION_START, place._cache.precision)
+    if n == 1:
+        hbar = Poly(bp.residue_field(), [bp.reduce_ring(c) for c in coeffs], "T")
+        if hbar(place.residue_root):
+            return -vden
+        n = 2
     while True:
         root = place.lift(n).value
         m = bp.uniformizer_power(n)

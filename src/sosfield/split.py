@@ -31,7 +31,7 @@ from .errors import (
     RepresentationNotFoundError,
     SosfieldError,
 )
-from .factor import factor_q, fq_roots, is_irreducible_fq, sturm_isolate
+from .factor import factor_q, fq_roots, fq_split_roots, is_irreducible_fq, sturm_isolate
 from .fields import QQ, field_sqrt
 from .local import BasePlace, ExtPlace
 from .numtheory import primes
@@ -235,14 +235,17 @@ def analyze_place(field, base_place):
         return None
     if q is not None and base_place.reduce(field.disc) ** ((q - 1) // 2) != R.one():
         return None
-    fbar = base_place.reduce_poly(field.f)
+    fbar = base_place.reduce_modulus(field.f)[0]
     if q is not None:
         tbar = Poly.gen(R, fbar.var)
         if poly_pow_mod(tbar, q, fbar) != tbar % fbar:
             return None
-    roots = residue_roots(R, fbar)
-    if len(roots) != field.deg:
-        return None
+        # fbar divides T^q - T, so it is the product of deg f distinct linear factors
+        roots = fq_split_roots(fbar)
+    else:
+        roots = number_field_roots(R, fbar)
+        if len(roots) != field.deg:
+            return None
     nonreal, sqrtm1 = residue_is_nonreal(base_place)
     return SplitPlaceRecord(field, base_place, tuple(roots), nonreal, sqrtm1)
 
@@ -319,8 +322,7 @@ def verify_split_place(record):
             return CheckResult(False, "roots are not distinct")
         if [R.sort_key(r) for r in roots] != sorted(R.sort_key(r) for r in roots):
             return CheckResult(False, "roots are not sorted")
-        fbar = place.reduce_poly(field.f)
-        dbar = fbar.derivative()
+        fbar, dbar = place.reduce_modulus(field.f)
         for r in roots:
             if fbar(r) != R.zero():
                 return CheckResult(False, f"{r!r} is not a residue root")

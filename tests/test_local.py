@@ -8,8 +8,8 @@ from sosfield.errors import (
     InfiniteValuationError,
     PrecisionExhaustedError,
 )
-from sosfield.certs import parse_field
-from sosfield.extension import ExtField, GlobalBase
+from sosfield.certs import parse_field, parse_place
+from sosfield.extension import ExtField, GlobalBase, QuotElem, field_norm
 from sosfield.fields import QQ, FqField
 from sosfield.local import (
     PRECISION_CEILING,
@@ -22,6 +22,7 @@ from sosfield.local import (
     weak_approx,
 )
 from sosfield.poly import Poly, RatFunc
+from sosfield.split import analyze_place, find_split_places
 
 
 def _q_base():
@@ -275,3 +276,82 @@ def test_precision_ceiling_raises():
     w = ExtPlace(K, BasePlace(_q_base(), 7), 3)
     with pytest.raises(PrecisionExhaustedError):
         ext_valuation(w, K.from_int(7 ** (PRECISION_CEILING + 1)))
+
+
+# split places over Q, F_5(X) and F_7(X); None takes the first split place
+VALUATION_FIELDS = [
+    ("Q", "T^2-2", None),
+    ("Q", "T^3-2", None),
+    ("Q", "T^4+6*T^3-4*T+2", None),
+    ("Fq:5", "T^2-X", None),
+    ("Fq:7", "T^3-X", None),
+    ("Fq:7", "T^2-X", "X^2+1"),  # residue field F_49
+]
+
+
+def _lifted_valuation(w, x, precision=16):
+    """v_w(x) read off h(theta) mod pi^precision, theta a fresh Hensel lift.
+
+    h is x times a common denominator; a nonzero value mod pi^precision has
+    valuation below precision, so the result is exact.
+    """
+    bp, base = w.base_place, w.field.base
+    theta = hensel_lift_root(bp, w.field.f, w.residue_root, precision).value
+    m = bp.uniformizer**precision
+    den = base.common_denominator(list(x.coords))
+    acc = base.ring_zero()
+    for c in reversed(x.coords):
+        acc = (acc * theta + base.to_ring(c * base.from_ring(den))) % m
+    assert acc, "valuation beyond the oracle's precision"
+    return bp.ring_valuation(acc) - bp.ring_valuation(den)
+
+
+def _integral(K, rng):
+    """A random element of K whose coordinates lie in the base ring."""
+    base = K.base
+    if base.kind == "Q":
+        coords = [rng.randint(-30, 30) for _ in range(K.deg)]
+    else:
+        coords = [Poly(base.k, [base.k.rand(rng) for _ in range(3)], "X") for _ in range(K.deg)]
+    return QuotElem(K, [base.from_ring(r) for r in coords])
+
+
+@pytest.mark.parametrize("label,f,place", VALUATION_FIELDS, ids=lambda v: v or "first")
+def test_ext_valuation_matches_deep_lift(label, f, place):
+    K = parse_field(GlobalBase.from_label(label), f)
+    if place is None:
+        rec = find_split_places(K).records[0]
+    else:
+        rec = analyze_place(K, parse_place(K.base, place))
+    bp = rec.base_place
+    pi = K.from_base(K.base.from_ring(bp.uniformizer))
+    offsets = [w.root_offset() for w in rec.ext_places()]
+    rng = random.Random(f"{label} {f}")
+    shared = rec.ext_places()  # its lifts deepen as the samples need them
+    samples = []
+    for size in range(K.deg + 1):
+        for _ in range(3):
+            # residue zero exactly at the places of S: T - a_i vanishes at r_i
+            S = set(rng.sample(range(K.deg), size))
+            x = K.one()
+            for i in S:
+                x = x * offsets[i]
+            x = x + pi * _integral(K, rng)
+            if not x:
+                continue
+            zeros = {i for i, w in enumerate(rec.ext_places()) if ext_valuation(w, x) > 0}
+            assert zeros == S
+            samples.append(x)
+            samples.append(x / pi ** rng.randint(1, 3))  # denominator divisible by pi
+    for k in range(-2, 5):
+        u = K.one() + pi * _integral(K, rng)  # a unit at every place
+        assert [ext_valuation(w, pi**k * u) for w in rec.ext_places()] == [k] * K.deg
+        samples.append(pi**k * u)
+    samples += [x for x in (K.rand(rng) for _ in range(12)) if x]
+    for x in samples:
+        want = [_lifted_valuation(w, x) for w in shared]
+        assert [ext_valuation(w, x) for w in rec.ext_places()] == want
+        assert [ext_valuation(w, x) for w in shared] == want
+        if label == "Q":
+            # p splits completely and unramified, so sum_w v_w(x) = v_p(N(x))
+            assert sum(want) == bp.valuation(field_norm(x))

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sosfield import local, witness
+from sosfield import cli, local, witness
 from sosfield.errors import DegenerateInputError
 from sosfield.extension import ExtField, GlobalBase, QuotElem, QuotientRing
 from sosfield.fields import QQ, FqField, field_sqrt
@@ -158,6 +159,40 @@ def test_each_valuation_computed_once_per_witness(split_field, monkeypatch):
     monkeypatch.setattr(witness, "ext_valuation", counted)
     nonpyth_witness(K, rec)
     assert len(calls) == len(rec.ext_places())
+
+
+@pytest.mark.parametrize(
+    "base,f", [("Q", "T^3-2"), ("Q", "T^6-T^2+3*T+5"), ("Fq:7", "T^5-X"), ("QX", "T^2-5*X")],
+    ids=" ".join,
+)
+def test_one_lift_and_one_reduction_per_place(base, f, tmp_path, monkeypatch):
+    lifts, reduced = [], []
+    real_lift, real_reduce = local.hensel_lift_root, local.BasePlace.reduce_poly
+
+    def lift(place, g, root, precision):
+        lifts.append(precision)
+        return real_lift(place, g, root, precision)
+
+    def reduce_poly(place, g):
+        reduced.append(place)  # kept alive, so ids stay distinct
+        return real_reduce(place, g)
+
+    monkeypatch.setattr(local, "hensel_lift_root", lift)
+    monkeypatch.setattr(local.BasePlace, "reduce_poly", reduce_poly)
+    path = str(tmp_path / "w.json")
+    for argv, places in (
+        (["witness", "--base", base, "--f", f, "--out", path], None),
+        # the certificate's place and the fresh one of verify_split_place
+        (["verify", path], 2),
+    ):
+        lifts.clear()
+        reduced.clear()
+        assert cli.main(argv) == 0
+        # sigma is a unit at every place but w_0, where one lift to precision 2 shows v = 1
+        assert lifts == [2]
+        counts = collections.Counter(map(id, reduced))
+        assert set(counts.values()) == {1}
+        assert places is None or len(counts) == places
 
 
 def test_nonpyth_witness_q():
