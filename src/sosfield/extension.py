@@ -97,8 +97,6 @@ class GlobalBase:
             return d
         d = Poly(self.k, [self.k.one()], "X")
         for e in elems:
-            if e.is_poly():  # den is monic, so it is 1
-                continue
             g = poly_gcd(d, e.den)
             d = (d * e.den) // g if g.degree() > 0 else d * e.den
         return d.monic()

@@ -19,7 +19,6 @@ from .fields import QQ, FqElem, FqField
 from .numtheory import is_prime
 from .poly import Poly, poly_ext_gcd
 
-PRECISION_START = 1
 PRECISION_CEILING = 2**14
 
 
@@ -268,10 +267,10 @@ def ext_valuation(place, x):
 
     Clears denominators, evaluates the numerator polynomial h at the lifted
     root modulo pi**N, and reads the valuation, which is certified once it is
-    below N.  N starts at PRECISION_START = 1, or at the precision already
-    cached for the place, and doubles up to PRECISION_CEILING.  At N = 1 the
-    lift is the residue root r itself, and h(theta) = h(r) mod pi, so a unit
-    costs one evaluation mod pi and no Hensel lifting.
+    below N.  N starts at the precision cached for the place, which is 1 for
+    a new place, and doubles up to PRECISION_CEILING.  At N = 1 the lift is
+    the residue root r itself, and h(theta) = h(r) mod pi, so a unit costs
+    one evaluation mod pi and no Hensel lifting.
     """
     field = place.field
     x = field.coerce(x)
@@ -281,14 +280,9 @@ def ext_valuation(place, x):
     bp = place.base_place
     den = base.common_denominator(list(x.coords))
     den_e = base.from_ring(den)
-    coeffs = [base.to_ring(c if den == 1 else c * den_e) for c in x.coords]
+    coeffs = [base.to_ring(c * den_e) for c in x.coords]
     vden = bp.ring_valuation(den)
-    n = max(PRECISION_START, place._cache.precision)
-    if n == 1:
-        hbar = Poly(bp.residue_field(), [bp.reduce_ring(c) for c in coeffs], "T")
-        if hbar(place.residue_root):
-            return -vden
-        n = 2
+    n = place._cache.precision
     while True:
         root = place.lift(n).value
         m = bp.uniformizer_power(n)

@@ -665,10 +665,6 @@ class Poly:
         k = self.field._kernel
         if type(k) is _Fp and type(point) is FqElem and point.q == k.q:
             return FqElem(k.eval(k.pack(self.coeffs), point.val), k.q)
-        if type(k) is _Kr and getattr(point, "ring", None) is self.field:
-            # P(r) is the remainder of P by T - r, one packed division
-            rem = k.divmod(k.pack(self.coeffs), k.pack([-point, self.field.one()]))[1]
-            return k.unpack(rem)[0] if rem else self.field.zero()
         acc = self.field.zero() * point if not isinstance(point, (int, Fraction)) else self.field.zero()
         for c in reversed(self.coeffs):
             acc = acc * point + c

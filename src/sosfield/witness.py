@@ -18,7 +18,7 @@ from .errors import (
     SosfieldError,
 )
 from .fields import QQ
-from .local import ExtPlace, ValuationVector, ext_valuation
+from .local import ValuationVector, ext_valuation
 from .numtheory import legendre
 from .poly import Poly
 from .split import height_tuples, residue_is_nonreal, residue_sqrt, verify_split_place
@@ -171,8 +171,8 @@ def nonpyth_witness(field, record):
 
     sigma = y + (T - a_0)^2, with y from sos_uniformizer and T - a_0 the
     first place's root_offset(), has valuation 1 at that place and 0 at the
-    others.  The finished certificate is re-verified, which recomputes every
-    valuation, before it is returned.
+    others.  The finished certificate is re-verified on fresh places, which
+    recomputes every valuation, before it is returned.
     """
     if record.field != field:
         raise DegenerateInputError("record belongs to a different field")
@@ -218,12 +218,8 @@ def verify_certificate(cert):
             return CheckResult(False, "cached value differs from the sum of squares")
         if value == field.zero():
             return CheckResult(False, "sum of squares is zero")
-        # the certificate's places were checked as simple residue roots when
-        # built; they must be the record's, whose roots verify_split_place checked
-        places = tuple(cert.valuations.places)
-        if not all(isinstance(w, ExtPlace) for w in places) or [
-            (w.field, w.base_place, w.residue_root) for w in places
-        ] != [(field, rec.base_place, r) for r in rec.roots]:
+        places = rec.ext_places()
+        if tuple(cert.valuations.places) != places:
             return CheckResult(False, "valuations are not at the record's places")
         vals = tuple(ext_valuation(w, value) for w in places)
         if vals != tuple(cert.valuations.values):

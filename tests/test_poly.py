@@ -161,23 +161,6 @@ def test_evaluation_at_prime_field_points():
     assert P(FqField(7), [])(FqElem(3, 7)) == FqElem(0, 7)
 
 
-def test_evaluation_at_residue_ring_points():
-    """The packed remainder by T - r agrees with Horner on elements of F_p[x]/(pi)."""
-    from sosfield.extension import QuotientRing
-
-    rng = random.Random(9)
-    F = FqField(7)
-    for pi in ([3, 1], [1, 0, 1], [2, 1, 0, 1]):
-        R = QuotientRing(F, P(F, pi, "x"))
-        for _ in range(30):
-            f = Poly(R, [R.rand(rng) for _ in range(rng.randrange(0, 7))], "T")
-            r = R.rand(rng)
-            want = R.zero()
-            for c in reversed(f.coeffs):
-                want = want * r + c
-            assert f(r) == want and f(r).ring is R
-
-
 def test_poly_sort_key_degree_major():
     a, b, c = P(QQ, [5]), P(QQ, [0, 1]), P(QQ, [0, 0, 1])
     assert sorted([c, a, b], key=lambda p: p.sort_key()) == [a, b, c]
