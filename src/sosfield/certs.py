@@ -41,6 +41,7 @@ TOOL_VERSION = "0.1.0"
 
 
 def _need(obj, key, typ, where):
+    """obj[key], which must be a typ; with typ object the caller checks the value."""
     if key not in obj:
         raise ParseError(f"{where}: missing field {key!r}")
     v = obj[key]
@@ -51,6 +52,13 @@ def _need(obj, key, typ, where):
             f"{where}: field {key!r} must be {typ.__name__}, got {type(v).__name__}"
         )
     return v
+
+
+def _int_list(p, key, where):
+    vals = _need(p, key, list, where)
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in vals):
+        raise ParseError(f"{where}: {key} must be integers")
+    return tuple(vals)
 
 
 def _rat_out(q):
@@ -120,15 +128,7 @@ def _elem_in(text, field, where):
         raise ParseError(f"{where}: {e}") from None
 
 
-def _residue_out(r):
-    if r is None:
-        return None
-    return render_scalar(r)
-
-
 def _residue_in(v, residue_field, where):
-    if v is None:
-        return None
     if isinstance(residue_field, FqField):
         if isinstance(v, str):
             try:
@@ -169,9 +169,9 @@ def render_place(bp):
 def _place_out(rec):
     return {
         "uniformizer": render_place(rec.base_place),
-        "residue_roots": [_residue_out(r) for r in rec.roots],
+        "residue_roots": [_elem_out(r) for r in rec.roots],
         "nonreal": rec.nonreal,
-        "sqrt_minus_one": _residue_out(rec.sqrt_minus_one),
+        "sqrt_minus_one": None if rec.sqrt_minus_one is None else _elem_out(rec.sqrt_minus_one),
     }
 
 
@@ -193,7 +193,9 @@ def _place_in(p, field, where):
         for i, r in enumerate(roots_raw)
     )
     nonreal = _need(p, "nonreal", bool, where)
-    sqrt_m1 = _residue_in(p.get("sqrt_minus_one"), R, f"{where}: sqrt_minus_one")
+    sqrt_m1 = p.get("sqrt_minus_one")
+    if sqrt_m1 is not None:  # the one field that may be null
+        sqrt_m1 = _residue_in(sqrt_m1, R, f"{where}: sqrt_minus_one")
     return SplitPlaceRecord(field, bp, roots, nonreal, sqrt_m1)
 
 
@@ -221,13 +223,10 @@ def _witness_in(p):
         sos = SosExpr(field, terms)
     except SosfieldError as e:
         raise ParseError(f"{where}: sos_terms: {e}") from None
-    vals = _need(p, "valuations", list, where)
+    vals = _int_list(p, "valuations", where)
     places = rec.ext_places()
     if len(vals) != len(places):
         raise ParseError(f"{where}: valuations do not match the place count")
-    for v in vals:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ParseError(f"{where}: valuations must be integers")
     idx = _need(p, "parity_index", int, where)
     return WitnessCertificate(field, rec, sos, ValuationVector(places, tuple(vals)), idx)
 
@@ -259,11 +258,11 @@ def _pyth_in(p):
             raise ParseError(f"{where}: skips must be booleans")
     return PythChain(
         terms,
-        _rat_in(_need(p, "sigma", (int, str), where), f"{where}: sigma"),
+        _rat_in(_need(p, "sigma", object, where), f"{where}: sigma"),
         rads,
         tuple(skips),
-        _rat_in(_need(p, "u_square", (int, str), where), f"{where}: u_square"),
-        _rat_in(_need(p, "v", (int, str), where), f"{where}: v"),
+        _rat_in(_need(p, "u_square", object, where), f"{where}: u_square"),
+        _rat_in(_need(p, "v", object, where), f"{where}: v"),
     )
 
 
@@ -312,19 +311,19 @@ def _sign_in(p):
     where = "sign-pattern payload"
     field = _field_in(_need(p, "field", dict, where), where)
     alpha = _elem_in(_need(p, "alpha", str, where), field, f"{where}: alpha")
-    pair_raw = _need(p, "pair", list, where)
-    if len(pair_raw) != 2:
-        raise ParseError(f"{where}: pair must have two entries")
+    for key in ("pair", "embeddings"):
+        if len(_need(p, key, list, where)) != 2:
+            raise ParseError(f"{where}: {key} must have two entries")
     pair = tuple(
-        _elem_in(t, field, f"{where}: pair[{i}]") for i, t in enumerate(pair_raw)
+        _elem_in(t, field, f"{where}: pair[{i}]") for i, t in enumerate(p["pair"])
     )
     embs = []
-    for i, e in enumerate(_need(p, "embeddings", list, where)):
+    for i, e in enumerate(p["embeddings"]):
         ew = f"{where}: embeddings[{i}]"
         if not isinstance(e, dict):
             raise ParseError(f"{ew}: must be an object")
-        lo = _rat_in(_need(e, "lo", (int, str), ew), f"{ew}: lo")
-        hi = _rat_in(_need(e, "hi", (int, str), ew), f"{ew}: hi")
+        lo = _rat_in(_need(e, "lo", object, ew), f"{ew}: lo")
+        hi = _rat_in(_need(e, "hi", object, ew), f"{ew}: hi")
         embs.append(RealEmbedding(field.f, lo, hi))
     signs = _need(p, "signs", list, where)
     if len(signs) != 2 or any(s not in (-1, 1) or isinstance(s, bool) for s in signs):
@@ -349,22 +348,14 @@ def _dyadic_out(c):
 
 def _dyadic_in(p):
     where = "dyadic-hensel payload"
-
-    def int_list(key):
-        vals = _need(p, key, list, where)
-        for v in vals:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ParseError(f"{where}: {key} must be integers")
-        return tuple(vals)
-
     return DyadicHenselCertificate(
-        start=int_list("start"),
+        start=_int_list(p, "start", where),
         value=_need(p, "value", int, where),
         value_ok=_need(p, "value_ok", bool, where),
         derivative=_need(p, "derivative", int, where),
         e=_need(p, "e", int, where),
         criterion_ok=_need(p, "criterion_ok", bool, where),
-        lifted=int_list("lifted"),
+        lifted=_int_list(p, "lifted", where),
         modulus=_need(p, "modulus", int, where),
         residue_ok=_need(p, "residue_ok", bool, where),
         conclusion=_need(p, "conclusion", str, where),

@@ -451,7 +451,11 @@ class ExtField(QuotientRing):
         self.irreducibility_status = "asserted"
         if irreducibility == "auto":
             self.decide_irreducibility(required=False)
-        self.disc = discriminant(f)
+
+    @functools.cached_property
+    def disc(self):
+        """disc(f), computed on first use: the split search reads it, a verifier does not."""
+        return discriminant(self.f)
 
     def decide_irreducibility(self, required):
         """Run verify_irreducible on f and record its status.

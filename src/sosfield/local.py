@@ -228,6 +228,7 @@ class ExtPlace:
         if dbar(root) == R.zero():
             raise DegenerateInputError("residue root is not simple")
         self.residue_root = root
+        self.key = ExtPlace.key_of(field, base_place, root)
         self._cache = PadicApprox(base_place, base_place.lift_residue(root), 1)
 
     def lift(self, precision):
@@ -247,16 +248,16 @@ class ExtPlace:
         a = self.base_place.lift_residue(self.residue_root)
         return self.field.gen() - self.field.from_base(self.field.base.from_ring(a))
 
+    @staticmethod
+    def key_of(field, base_place, residue_root):
+        """What identifies a place: its field, the place below and its residue root."""
+        return field, base_place, residue_root
+
     def __eq__(self, other):
-        return (
-            isinstance(other, ExtPlace)
-            and other.field == self.field
-            and other.base_place == self.base_place
-            and other.residue_root == self.residue_root
-        )
+        return isinstance(other, ExtPlace) and other.key == self.key
 
     def __hash__(self):
-        return hash((self.base_place, repr(self.residue_root)))
+        return hash(self.key)
 
     def __repr__(self):
         return f"ExtPlace({self.base_place!r}, root={self.residue_root!r})"

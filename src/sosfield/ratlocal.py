@@ -233,10 +233,10 @@ def hensel_criterion(point, index=1, e=1):
     value = sum(x * x for x in point)
     deriv = 2 * point[index]
     ok = (
-        value % 2 ** (2 * e + 1) == 0
-        and deriv != 0
+        deriv != 0
         and int_valuation(deriv, 2) == e
         and 3 * e >= 2 * e + 1
+        and value % 2 ** (2 * e + 1) == 0
     )
     return ok, value, deriv
 
@@ -296,7 +296,8 @@ def verify_dyadic_certificate(cert):
     ok, value, deriv = hensel_criterion(start, index=index, e=e)
     if (value, deriv) != (cert.value, cert.derivative):
         return CheckResult(False, "criterion data does not recompute")
-    if cert.value_ok != (value % 2 ** (2 * e + 1) == 0):
+    # v_2(value) against 2e + 1: e is not bounded yet, so 2^(2e+1) may be huge
+    if cert.value_ok != (not value or int_valuation(value, 2) > 2 * e):
         return CheckResult(False, "divisibility flag does not recompute")
     if cert.criterion_ok != ok or not ok:
         return CheckResult(False, "Hensel criterion fails at the start point")

@@ -258,3 +258,55 @@ def test_reading_a_field_builds_it_once(monkeypatch):
     built.clear(), decided.clear()
     assert deserialize(json.dumps(doc)).field.irreducibility_status == "asserted"
     assert (len(built), len(decided)) == (1, 0)
+
+
+def _sign_doc():
+    K = _sqrt2_field()
+    neg, pos = real_embeddings(K)
+    return json.loads(serialize(indefinite_witness(K, K.gen() - 2, pos, neg)))
+
+
+def test_pyth_chain_null_sigma_exits_2(capsys, tmp_path):
+    doc = json.loads(serialize(pyth_chain_reduce([2, 1, 1, 1])))
+    doc["payload"]["sigma"] = None
+    code, err = _verify_exit(capsys, tmp_path, doc)
+    assert code == 2 and "sigma: expected a rational, got NoneType" in err
+
+
+def test_sign_pattern_list_bound_exits_2(capsys, tmp_path):
+    doc = _sign_doc()
+    doc["payload"]["embeddings"][0]["lo"] = [1]
+    code, err = _verify_exit(capsys, tmp_path, doc)
+    assert code == 2 and "embeddings[0]: lo: expected a rational, got list" in err
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_sign_pattern_embedding_count_exits_2(count, capsys, tmp_path):
+    doc = _sign_doc()
+    embs = doc["payload"]["embeddings"]
+    doc["payload"]["embeddings"] = (embs * 2)[:count]
+    code, err = _verify_exit(capsys, tmp_path, doc)
+    assert code == 2 and "embeddings must have two entries" in err
+
+
+@pytest.mark.parametrize("base,f", [("Q", "T^2-2"), ("Fq:7", "T^2-X"), ("QX", "T^2-5*X")])
+def test_null_residue_root_exits_2(base, f, capsys, tmp_path):
+    from sosfield.cli import main
+
+    path = tmp_path / "w.json"
+    assert main(["witness", "--base", base, "--f", f, "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["payload"]["place"]["residue_roots"][1] = None
+    code, err = _verify_exit(capsys, tmp_path, doc)
+    assert code == 2 and "residue_roots[1]" in err
+
+
+def test_huge_dyadic_e_exits_1_promptly(capsys, tmp_path):
+    import time
+
+    doc = json.loads(serialize(dyadic_five_square_check()))
+    doc["payload"]["e"] = 10**30
+    start = time.process_time()
+    code, _ = _verify_exit(capsys, tmp_path, doc)
+    # e is compared with 2-adic valuations first, so 2^(2e+1) is never built
+    assert code == 1 and time.process_time() - start < 2

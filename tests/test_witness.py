@@ -1,12 +1,13 @@
 import collections
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from sosfield import cli, local, witness
+from sosfield import cli, extension, local, witness
 from sosfield.errors import DegenerateInputError
 from sosfield.extension import ExtField, GlobalBase, QuotElem, QuotientRing
 from sosfield.fields import QQ, FqField, field_sqrt
@@ -166,8 +167,10 @@ def test_each_valuation_computed_once_per_witness(split_field, monkeypatch):
     ids=" ".join,
 )
 def test_one_lift_and_one_reduction_per_place(base, f, tmp_path, monkeypatch):
-    lifts, reduced = [], []
+    lifts, reduced, moduli, evals, discs = [], [], [], [], []
     real_lift, real_reduce = local.hensel_lift_root, local.BasePlace.reduce_poly
+    real_modulus, real_call = local.BasePlace.reduce_modulus, Poly.__call__
+    real_disc = extension.discriminant
 
     def lift(place, g, root, precision):
         lifts.append(precision)
@@ -177,22 +180,65 @@ def test_one_lift_and_one_reduction_per_place(base, f, tmp_path, monkeypatch):
         reduced.append(place)  # kept alive, so ids stay distinct
         return real_reduce(place, g)
 
+    def reduce_modulus(place, g):
+        pair = real_modulus(place, g)
+        moduli.extend(pair)
+        return pair
+
+    def call(g, x):
+        if any(g is m for m in moduli):  # fbar or fbar' at a residue value
+            evals.append(x)
+        return real_call(g, x)
+
     monkeypatch.setattr(local, "hensel_lift_root", lift)
     monkeypatch.setattr(local.BasePlace, "reduce_poly", reduce_poly)
+    monkeypatch.setattr(local.BasePlace, "reduce_modulus", reduce_modulus)
+    monkeypatch.setattr(Poly, "__call__", call)
+    monkeypatch.setattr(extension, "discriminant", lambda g: discs.append(g) or real_disc(g))
     path = str(tmp_path / "w.json")
-    for argv, places in (
-        (["witness", "--base", base, "--f", f, "--out", path], None),
+    for argv, places, disc_count in (
+        # the split search reads disc(f), on first use
+        (["witness", "--base", base, "--f", f, "--out", path], None, 1),
         # the certificate's place and the fresh one of verify_split_place
-        (["verify", path], 2),
+        (["verify", path], 2, 0),
     ):
-        lifts.clear()
-        reduced.clear()
+        for log in (lifts, reduced, moduli, evals, discs):
+            log.clear()
         assert cli.main(argv) == 0
         # sigma is a unit at every place but w_0, where one lift to precision 2 shows v = 1
         assert lifts == [2]
         counts = collections.Counter(map(id, reduced))
         assert set(counts.values()) == {1}
         assert places is None or len(counts) == places
+        # each of the n roots checked (fbar and fbar' each) where its place is
+        # built and by verify_split_place, and one root by the one lift
+        n = len(json.loads((tmp_path / "w.json").read_text())["payload"]["valuations"])
+        assert len(evals) == 4 * n + 2
+        assert len(discs) == disc_count
+
+
+@pytest.mark.parametrize(
+    "base,f,pi,root", [("Q", "T^3-2", 3, 2), ("Fq:7", "T^3-X", "X", "0")], ids=["Q", "Fq:7"]
+)
+def test_place_dividing_the_discriminant_is_rejected(base, f, pi, root, tmp_path, capsys):
+    """A record moved to a place dividing disc(f), with fbar = (T - r)^3 there, exits 1.
+
+    No test of v(disc) is needed for this: a degree-3 fbar with three distinct
+    simple roots has a nonzero discriminant, which is disc(f) mod pi.
+    """
+    path = tmp_path / "c.json"
+    for argv, records in (
+        (["witness"], lambda payload: [payload["place"]]),
+        (["split-places", "--count", "1"], lambda payload: payload["records"]),
+    ):
+        assert cli.main(argv + ["--base", base, "--f", f, "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        for rec in records(doc["payload"]):
+            rec.update(uniformizer=pi, residue_roots=[root] * 3, sqrt_minus_one=None)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["verify", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("INVALID")
 
 
 def test_nonpyth_witness_q():
