@@ -429,6 +429,12 @@ def deserialize(text):
     kind = _need(doc, "kind", str, "certificate")
     if kind not in _BY_NAME:
         raise ParseError(f"certificate: unknown kind {kind!r}")
+    tool = _need(doc, "tool", dict, "certificate")
+    _need(tool, "name", str, "certificate: tool")
+    _need(tool, "version", str, "certificate: tool")
+    provenance = _need(doc, "provenance", dict, "certificate")
+    _need(provenance, "seed", int, "certificate: provenance")
+    _need(provenance, "budgets", dict, "certificate: provenance")
     payload = _need(doc, "payload", dict, "certificate")
     return _BY_NAME[kind].read(payload)
 

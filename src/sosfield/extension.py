@@ -342,8 +342,8 @@ def _ratfunc_roots(base, f):
     unique Hensel lift to precision bound // deg pi + 1 is the root itself
     (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).
     """
-    from .local import BasePlace, hensel_lift_root
-    from .split import SearchBudget, _candidate_uniformizers, residue_roots
+    from .local import hensel_lift_root
+    from .split import SearchBudget, _candidate_places, residue_roots
 
     E, k = f.field, base.k
     if not f.derivative():
@@ -361,12 +361,11 @@ def _ratfunc_roots(base, f):
         roots = [a] if rest.degree() == 0 else [a, -rest.coeff(0)]
         return [r.as_poly() for r in roots]
     budget = SearchBudget(max_size=disc.num.degree() + 1)
-    pi = next(p for p in _candidate_uniformizers(base, budget) if disc.num % p)
-    place = BasePlace(base, pi)
+    place = next(pl for pl in _candidate_places(base, budget) if disc.num % pl.uniformizer)
     bound = _root_bound(f)
     roots = []
     for r in residue_roots(place.residue_field(), place.reduce_modulus(f)[0]):
-        g = hensel_lift_root(place, f, r, bound // pi.degree() + 1).value
+        g = hensel_lift_root(place, f, r, bound // place.uniformizer.degree() + 1).value
         if g.degree() <= bound and not f(RatFunc(g)):
             roots.append(g)
     return roots

@@ -39,11 +39,23 @@ def _horner_mod(coeffs, x, m, base):
     return acc
 
 
+def _irreducible(k, pi):
+    """Whether a monic nonconstant pi over k = Q or F_q is irreducible."""
+    if k == QQ:
+        fac = factor_q(pi)
+        return len(fac.factors) == 1 and fac.factors[0][1] == 1
+    return is_irreducible_fq(pi)
+
+
 class BasePlace:
     """A finite place of Q or k(X), given by its normalized uniformizer."""
 
+    # caches, each set on the instance on first use
+    _residue = None
+    _nonreal = None  # split.residue_is_nonreal, once computed
+    _modulus = None  # (f, fbar, fbar') of the last f reduce_modulus reduced
+
     def __init__(self, base, uniformizer):
-        self.base = base
         if base.kind == "Q":
             if not isinstance(uniformizer, int):
                 raise DegenerateInputError("rational place needs an integer prime")
@@ -58,16 +70,22 @@ class BasePlace:
             if uniformizer.degree() < 1:
                 raise DegenerateInputError("uniformizer must be nonconstant")
             uniformizer = uniformizer.monic()
-            if base.k == QQ:
-                fac = factor_q(uniformizer)
-                if len(fac.factors) != 1 or fac.factors[0][1] != 1:
-                    raise DegenerateInputError(f"{uniformizer!r} is reducible")
-            elif not is_irreducible_fq(uniformizer):
+            if not _irreducible(base.k, uniformizer):
                 raise DegenerateInputError(f"{uniformizer!r} is reducible")
+        self.base = base
         self.uniformizer = uniformizer
-        self._residue = None
-        self._nonreal = None  # split.residue_is_nonreal, once computed
-        self._modulus = None  # (f, fbar, fbar') of the last f reduce_modulus reduced
+
+    @classmethod
+    def of_monic(cls, base, pi):
+        """The place of a monic nonconstant pi over k(X), or None when pi is reducible.
+
+        The same irreducibility proof as the constructor, without the error.
+        """
+        if not _irreducible(base.k, pi):
+            return None
+        place = cls.__new__(cls)
+        place.base, place.uniformizer = base, pi
+        return place
 
     def residue_field(self):
         if self._residue is None:

@@ -16,7 +16,10 @@ binomial needs n | r - 1 (over Q too), and disc(f), which is the square of
 prod(r_i - r_j) at a split place, must be a square in R.  A rejected place
 cannot split and still counts as tried, so places and counts do not change.
 Residue fields are finite or number fields Q[x]/(pi); both admit a complete
-root count, so a place is never reported split on partial evidence.
+root count, so a place is never reported split on partial evidence.  Over a
+number field a missing root is first proved mod a small prime, and Trager's
+norm runs only when no such prime is found.  Each candidate place is proved
+prime or irreducible once, by BasePlace.
 """
 
 import itertools
@@ -31,13 +34,14 @@ from .errors import (
     RepresentationNotFoundError,
     SosfieldError,
 )
-from .factor import factor_q, fq_roots, fq_split_roots, is_irreducible_fq, sturm_isolate
+from .factor import factor_q, fq_roots, fq_split_roots, sturm_isolate
 from .fields import QQ, field_sqrt
 from .local import BasePlace, ExtPlace
 from .numtheory import primes
 from .poly import Poly, RatFunc, RatFuncField, poly_gcd, poly_pow_mod, resultant
 
 NORM_SHIFTS = 16
+SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 @dataclass(frozen=True)
@@ -107,17 +111,19 @@ def height_tuples(n, height):
             yield tup
 
 
-def _candidate_uniformizers(base, budget, roots_of_unity=1):
-    """Ring-element candidates in canonical order; irreducibility pre-filtered.
+def _candidate_places(base, budget, roots_of_unity=1):
+    """BasePlaces of the candidates in canonical order, each proved prime once.
 
-    Over F_q only degrees d with roots_of_unity | q^d - 1 are enumerated.
+    BasePlace.of_monic's proof filters out reducible candidates, which do not
+    count as tried.  Over F_q only degrees d with roots_of_unity | q^d - 1 are
+    enumerated.
     """
     size = budget.size_for(base.label)
     if base.kind == "Q":
         for p in primes(3):
             if p > size:
                 return
-            yield p
+            yield BasePlace(base, p)
         return
     k = base.k
     if k != QQ:
@@ -128,17 +134,15 @@ def _candidate_uniformizers(base, budget, roots_of_unity=1):
                 continue
             for i in range(q**deg):
                 low = [k.from_int(i // q**j % q) for j in range(deg)]
-                pi = Poly(k, low + [k.one()], "X")
-                if is_irreducible_fq(pi):
-                    yield pi
+                if place := BasePlace.of_monic(base, Poly(k, low + [k.one()], "X")):
+                    yield place
         return
     for height in range(1, size + 1):
         for deg in range(1, size + 1):
             for top in height_tuples(deg, height):
                 pi = Poly(QQ, list(reversed(top)) + [Fraction(1)], "X")
-                fac = factor_q(pi)
-                if len(fac.factors) == 1 and fac.factors[0][1] == 1:
-                    yield pi
+                if place := BasePlace.of_monic(base, pi):
+                    yield place
 
 
 def _trager_norm(L, g):
@@ -154,13 +158,47 @@ def _trager_norm(L, g):
     return norm.as_poly()
 
 
+def _eval_mod(cs, x, p):
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _no_root_mod_p(L, g):
+    """Whether a prime of SIEVE_PRIMES proves that g has no root in L = Q[x]/(pi).
+
+    At a simple root x0 of pi mod p, Hensel's lemma lifts x0 to a root of pi
+    in Z_p, and x -> that root embeds L in Q_p.  The image of the monic g then
+    has p-integral coefficients, so a root of g in L would lie in Z_p and
+    reduce to a root of g(x0, T) mod p.  Primes dividing a denominator of pi
+    or of g's coordinates are skipped.
+    """
+    rows = [L.modulus.coeffs] + [g.coeff(j).coords for j in range(g.degree())]
+    for p in SIEVE_PRIMES:
+        if any(c.denominator % p == 0 for row in rows for c in row):
+            continue
+        pim, *gm = [[c.numerator * pow(c.denominator, -1, p) % p for c in row] for row in rows]
+        dpim = [i * c % p for i, c in enumerate(pim)][1:]
+        for x0 in range(p):
+            if _eval_mod(pim, x0, p) or not _eval_mod(dpim, x0, p):
+                continue
+            gx = [_eval_mod(row, x0, p) for row in gm] + [1]
+            if all(_eval_mod(gx, t, p) for t in range(p)):
+                return True
+    return False
+
+
 def number_field_roots(L, g):
     """All roots in L = Q[x]/(pi) of a monic squarefree g over L, sorted.
 
-    Trager's method: shift until the norm is squarefree (at most NORM_SHIFTS
-    shifts), factor it over Q, and read the linear factors back off gcds.
-    Complete: an empty list is a proof that g has no root in L.
+    A missing root is first looked for mod small primes (_no_root_mod_p).
+    Otherwise Trager's method: shift until the norm is squarefree (at most
+    NORM_SHIFTS shifts), factor it over Q, and read the linear factors back
+    off gcds.  Complete: an empty list is a proof that g has no root in L.
     """
+    if _no_root_mod_p(L, g):
+        return []
     xbar = L.gen()
     for s in range(NORM_SHIFTS):
         if s == 0:
@@ -286,13 +324,13 @@ def find_split_places(
     deadline = time.monotonic() + budget.wall_seconds
     records, tried = [], 0
     roots_of_unity = _roots_of_unity(field, require_sqrt_minus_one)
-    for pi in _candidate_uniformizers(field.base, budget, roots_of_unity):
+    for place in _candidate_places(field.base, budget, roots_of_unity):
         if tried >= budget.max_candidates:
             return SplitSearchResult(tuple(records), tried, True, "max_candidates")
         if time.monotonic() > deadline:
             return SplitSearchResult(tuple(records), tried, True, "wall_seconds")
         tried += 1
-        rec = analyze_place(field, BasePlace(field.base, pi))
+        rec = analyze_place(field, place)
         if rec is None or (require_nonreal and not rec.nonreal):
             continue
         if require_sqrt_minus_one and rec.sqrt_minus_one is None:

@@ -301,6 +301,40 @@ def test_null_residue_root_exits_2(base, f, capsys, tmp_path):
     assert code == 2 and "residue_roots[1]" in err
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        pytest.param(lambda d: d.update(tool=["sosfield"]), "'tool' must be dict, got list",
+                     id="tool_list"),
+        pytest.param(lambda d: d.update(tool=7), "'tool' must be dict, got int", id="tool_number"),
+        pytest.param(lambda d: d.pop("tool"), "missing field 'tool'", id="tool_missing"),
+        pytest.param(lambda d: d["tool"].update(name=None), "'name' must be str, got NoneType",
+                     id="tool_name_null"),
+        pytest.param(lambda d: d["tool"].pop("version"), "missing field 'version'",
+                     id="tool_version_missing"),
+        pytest.param(lambda d: d["tool"].update(version=1), "'version' must be str, got int",
+                     id="tool_version_number"),
+        pytest.param(lambda d: d.update(provenance="seed 0"), "'provenance' must be dict, got str",
+                     id="provenance_string"),
+        pytest.param(lambda d: d.pop("provenance"), "missing field 'provenance'",
+                     id="provenance_missing"),
+        pytest.param(lambda d: d["provenance"].update(seed="0"), "'seed' must be int, got str",
+                     id="provenance_seed_string"),
+        pytest.param(lambda d: d["provenance"].update(seed=True), "'seed' must be int, got bool",
+                     id="provenance_seed_bool"),
+        pytest.param(lambda d: d["provenance"].pop("budgets"), "missing field 'budgets'",
+                     id="provenance_budgets_missing"),
+        pytest.param(lambda d: d["provenance"].update(budgets=[]),
+                     "'budgets' must be dict, got list", id="provenance_budgets_list"),
+    ],
+)
+def test_malformed_envelope_exits_2(edit, message, capsys, tmp_path):
+    doc = json.loads(serialize(pyth_chain_reduce([2, 1, 1, 1]), seed=3, budgets={"height": 10}))
+    edit(doc)
+    code, err = _verify_exit(capsys, tmp_path, doc)
+    assert code == 2 and message in err
+
+
 def test_huge_dyadic_e_exits_1_promptly(capsys, tmp_path):
     import time
 

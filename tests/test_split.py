@@ -1,18 +1,22 @@
+import collections
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
+from sosfield import split
 from sosfield.errors import DegenerateInputError
-from sosfield.extension import ExtField, GlobalBase, QuotientRing
+from sosfield.extension import ExtField, GlobalBase, QuotElem, QuotientRing
+from sosfield.factor import factor_q
 from sosfield.fields import QQ, FqField
 from sosfield.local import BasePlace
 from sosfield.numtheory import primes
-from sosfield.poly import Poly, RatFuncField
+from sosfield.poly import Poly, RatFuncField, poly_gcd
 from sosfield.parsing import parse_poly
 from sosfield.split import (
     SearchBudget,
-    _candidate_uniformizers,
+    _candidate_places,
     analyze_place,
     find_split_places,
     number_field_roots,
@@ -208,8 +212,110 @@ def test_residue_is_nonreal():
     assert nonreal and i == -R.gen()
 
 
+# ---------------------------------------------------------------------------
+# Over Q(X) a missing residue root is first ruled out mod small primes.
+
+
+def _random_number_field(rng, deg):
+    """Q[x]/(pi) for a random monic irreducible pi of degree deg, small rational coefficients."""
+    while True:
+        low = [Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))) for _ in range(deg)]
+        pi = Poly(QQ, low + [Fraction(1)], "x")
+        fac = factor_q(pi)
+        if len(fac.factors) == 1 and fac.factors[0][1] == 1:
+            return QuotientRing(QQ, pi)
+
+
+def _random_elem(rng, L):
+    coords = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2, 5))) for _ in range(L.deg)]
+    return QuotElem(L, coords)
+
+
+@pytest.mark.parametrize("deg_pi", [1, 2, 3, 4])
+def test_sieve_keeps_every_number_field_root(deg_pi, monkeypatch):
+    """number_field_roots with the sieve equals the Trager-only answer.
+
+    Half the cases build g as a product of distinct T - r_i with r_i in L, so
+    a wrong rejection by the sieve would drop the r_i.
+    """
+    rng = random.Random(deg_pi)
+    checked = 0
+    while checked < 8:
+        L = _random_number_field(rng, deg_pi)
+        deg_g = 1 + checked // 2 % 4
+        if checked % 2:
+            planted = {_random_elem(rng, L) for _ in range(deg_g)}
+            g = Poly(L, [L.one()], "T")
+            for r in planted:
+                g = g * Poly(L, [-r, L.one()], "T")
+        else:
+            planted = set()
+            g = Poly(L, [_random_elem(rng, L) for _ in range(deg_g)] + [L.one()], "T")
+        if poly_gcd(g, g.derivative()).degree():
+            continue
+        roots = number_field_roots(L, g)
+        with monkeypatch.context() as m:
+            m.setattr(split, "SIEVE_PRIMES", ())
+            assert roots == number_field_roots(L, g), (L.modulus, g)
+        assert planted <= set(roots)
+        checked += 1
+
+
+def test_sieve_uses_only_simple_roots_mod_p():
+    """In L = Q(x) with x^2 = 45, T^2 - 5 has the roots +-x/3.
+
+    Mod 3 the double root 0 of x^2 - 45 gives T^2 - 5 = T^2 + 1, which has no
+    root; only a simple root of pi mod p lifts to Z_p, so 3 proves nothing.
+    """
+    L = QuotientRing(QQ, Poly(QQ, [Fraction(-45), Fraction(0), Fraction(1)], "x"))
+    x = L.gen()
+    g = Poly(L, [L.from_int(-5), L.zero(), L.one()], "T")
+    third = x * Fraction(1, 3)
+    assert number_field_roots(L, g) == sorted([third, -third], key=L.sort_key)
+
+
+@pytest.mark.parametrize(
+    "coeffs,sqrt_minus_one",
+    [([1, 0, 1], [0, -1]), ([1, 1, 1], None), ([1, 0, -1, 0, 1], [0, 0, 0, -1])],
+    ids=["X^2+1", "X^2+X+1", "X^4-X^2+1"],
+)
+def test_residue_is_nonreal_over_qx(coeffs, sqrt_minus_one, monkeypatch):
+    """Q(i), Q(sqrt(-3)) and Q(zeta_12) as residue fields, with and without the sieve."""
+    bq = GlobalBase("FF", QQ)
+    pi = Poly(QQ, [Fraction(c) for c in coeffs], "X")
+    for sieve in (split.SIEVE_PRIMES, ()):
+        monkeypatch.setattr(split, "SIEVE_PRIMES", sieve)
+        place = BasePlace(bq, pi)
+        R = place.residue_field()
+        want = sqrt_minus_one and QuotElem(R, [Fraction(c) for c in sqrt_minus_one])
+        assert residue_is_nonreal(place) == (True, want)
+
+
+def test_qx_witness_counts(monkeypatch):
+    """One proof per candidate place and the mod-p sieve bound the work of a Q(X) witness.
+
+    Without them, witness --base QX --f "T^2-5*X" made 62 Trager norms, 234
+    factor_q calls and 219 factor.discriminant calls.
+    """
+    from sosfield import cli, factor, local
+
+    counts = collections.Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: counts.update([name]) or real(*a))
+
+    for module in (factor, local, split):
+        count(module, "factor_q")
+    count(factor, "discriminant")
+    count(split, "_trager_norm")
+    assert cli.main(["witness", "--base", "QX", "--f", "T^2-5*X"]) == 0
+    assert counts["_trager_norm"] <= 4
+    assert counts["factor_q"] <= 124
+    assert counts["discriminant"] <= 112
+
+
 def test_residue_is_nonreal_is_kept_on_the_place(monkeypatch):
-    from sosfield import split
     from sosfield.witness import sos_uniformizer
 
     rec = find_split_places(_qx_field()).records[0]
@@ -251,8 +357,8 @@ def test_prefilters_keep_every_split_prime_over_q(text):
 def test_prefilters_keep_every_split_place_over_fq(q, text):
     base = GlobalBase("FF", FqField(q))
     K = ExtField(base, parse_poly(text, base.fraction_field()))
-    for pi in _candidate_uniformizers(base, SearchBudget(max_size=2)):
-        place = BasePlace(base, pi)
+    for place in _candidate_places(base, SearchBudget(max_size=2)):
+        pi = place.uniformizer
         if place.valuation(K.disc):
             continue
         R, d = place.residue_field(), pi.degree()
@@ -298,10 +404,8 @@ def test_verify_split_place_rejects_tampering():
 
 def _first_by_full_scan(K, require_sqrt_minus_one):
     """(record, candidates tried) for the first qualifying place of an unskipped scan."""
-    from sosfield.split import _candidate_uniformizers
-
-    for tried, pi in enumerate(_candidate_uniformizers(K.base, SearchBudget()), 1):
-        rec = analyze_place(K, BasePlace(K.base, pi))
+    for tried, place in enumerate(_candidate_places(K.base, SearchBudget()), 1):
+        rec = analyze_place(K, place)
         if rec is not None and (rec.sqrt_minus_one is not None or not require_sqrt_minus_one):
             return rec, tried
 
