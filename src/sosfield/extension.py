@@ -3,11 +3,12 @@
 A GlobalBase is E = Q (ring Z) or E = k(X) (ring k[X]) with k in {Q, F_q}.
 An extension K = E[T]/(f) is a QuotientRing over the fraction field of the
 base; the same QuotientRing machinery also serves residue fields k[x]/(pi).
-QuotElem arithmetic runs on the kernel that poly._kernel picks for the
-coefficient field (int lists mod p over F_p; ints over one denominator over
-Q, for number fields Q[T]/(f) and the residue fields Q[x]/(pi) of Q(X);
-lists of RatFunc over k(X)): a product is one mulrem by the packed modulus,
-an inverse one extended gcd and a power one modular square-and-multiply.
+A QuotElem stores its representative packed by the kernel that poly._kernel
+picks for the coefficient field (int lists mod p over F_p; ints over one
+denominator over Q, for number fields Q[T]/(f) and the residue fields
+Q[x]/(pi) of Q(X); lists of RatFunc over k(X)), and its coordinates are
+unpacked only when read.  A product is one mulrem by the packed modulus, an
+inverse one extended gcd and a power one modular square-and-multiply.
 Reducibility of a modulus is detected lazily: inverting a zero divisor
 raises ZeroDivisorError carrying the discovered factor.
 """
@@ -24,6 +25,7 @@ from .poly import (
     Poly,
     RatFunc,
     RatFuncField,
+    _coerced,
     _kernel,
     discriminant,
     poly_gcd,
@@ -112,113 +114,121 @@ class GlobalBase:
 
 
 class QuotElem:
-    """An element of F[v]/(m), stored as a coordinate tuple of length deg m."""
+    """An element of F[v]/(m), stored packed by the ring's kernel.
 
-    __slots__ = ("ring", "coords")
+    _p is the packed representative of degree < deg m; coords, the coordinate
+    tuple of length deg m, is unpacked from it on first read and cached.
+    """
+
+    __slots__ = ("ring", "_p", "_cs")
 
     def __init__(self, ring, coords):
         coords = list(coords)
         if len(coords) > ring.deg:
             raise DegenerateInputError("coordinate vector too long")
-        zero = ring.F.zero()
-        coords += [zero] * (ring.deg - len(coords))
         self.ring = ring
-        self.coords = tuple(ring.F.coerce(c) for c in coords)
+        self._p = ring._k.pack(_coerced(ring.F, coords))
+        self._cs = None
+
+    @property
+    def coords(self):
+        cs = self._cs
+        if cs is None:
+            R = self.ring
+            cs = R._k.unpack(self._p)
+            cs = self._cs = tuple(cs) + R._pad[len(cs)]
+        return cs
 
     def rep(self):
         """The canonical representative polynomial, degree < deg m."""
         return Poly(self.ring.F, self.coords, self.ring.var)
 
-    def _wrap(self, other):
+    def _packed(self, other):
+        """Packed value of an element of the ring or of a coercible value, else NotImplemented."""
         if isinstance(other, QuotElem):
             if other.ring is not self.ring and other.ring != self.ring:
                 raise DegenerateInputError("mixed quotient rings")
-            return other
+            return other._p
         c = self.ring.coerce(other)
-        return c if c is not None else NotImplemented
+        return NotImplemented if c is None else c._p
 
     def __add__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        P = self._packed(other)
+        if P is NotImplemented:
             return NotImplemented
         R = self.ring
-        k = R._k
-        return R._make(k.add(k.pack(self.coords), k.pack(other.coords)))
+        return R._make(R._k.add(self._p, P))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        P = self._packed(other)
+        if P is NotImplemented:
             return NotImplemented
         R = self.ring
-        k = R._k
-        return R._make(k.sub(k.pack(self.coords), k.pack(other.coords)))
+        return R._make(R._k.sub(self._p, P))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
         R = self.ring
-        k = R._k
-        return R._make(k.sub(k.zero, k.pack(self.coords)))
+        return R._make(R._k.sub(R._k.zero, self._p))
 
     def __mul__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        P = self._packed(other)
+        if P is NotImplemented:
             return NotImplemented
         R = self.ring
-        k = R._k
-        return R._make(k.mulrem(k.pack(self.coords), k.pack(other.coords), R._m))
+        return R._make(R._k.mulrem(self._p, P, R._m))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not any(self.coords):
-            raise ZeroDivisionError("inverting zero in quotient ring")
         R = self.ring
         k = R._k
-        g, s, _ = k.ext_gcd(k.pack(self.coords), R._m)
-        g = k.unpack(g)
-        if len(g) > 1:
-            g = Poly(R.F, g, R.var)
+        if k.is_zero(self._p):
+            raise ZeroDivisionError("inverting zero in quotient ring")
+        g, s, _ = k.ext_gcd(self._p, R._m)
+        if k.degree(g) > 0:
+            g = Poly(R.F, k.unpack(g), R.var)
             raise ZeroDivisorError(f"zero divisor: modulus has factor {g!r}", factor=g)
         return R._make(s)
 
     def __truediv__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        P = self._packed(other)
+        if P is NotImplemented:
             return NotImplemented
-        return self * other.inverse()
+        return self * self.ring._make(P).inverse()
 
     def __rtruediv__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        P = self._packed(other)
+        if P is NotImplemented:
             return NotImplemented
-        return other * self.inverse()
+        return self.ring._make(P) * self.inverse()
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
         R = self.ring
-        k = R._k
-        return R._make(k.pow_mod(k.pack(self.coords), n, R._m))
+        return R._make(R._k.pow_mod(self._p, n, R._m))
 
     def __eq__(self, other):
-        if isinstance(other, QuotElem):
-            if other.ring is not self.ring and other.ring != self.ring:
+        if isinstance(other, QuotElem) and other.ring is not self.ring:
+            if other.ring != self.ring:
                 return False
-            return self.coords == other.coords
-        other = self._wrap(other)
-        if other is NotImplemented:
+            if type(other.ring._k) is not type(self.ring._k):  # an equal ring on another kernel
+                return self.coords == other.coords
+        P = self._packed(other)
+        if P is NotImplemented:
             return NotImplemented
-        return self.coords == other.coords
+        return self._p == P
 
     def __hash__(self):
         return hash((self.ring, self.coords))
 
     def __bool__(self):
-        return any(self.coords)
+        return not self.ring._k.is_zero(self._p)
 
     def __repr__(self):
         return repr(self.rep())
@@ -227,8 +237,8 @@ class QuotElem:
 class QuotientRing:
     """F[v]/(m) for a monic modulus m of degree >= 1; a field when m is irreducible.
 
-    The arithmetic runs on poly's kernel for F: _k is that kernel, _m is m
-    packed by it, and _make builds an element from a packed value.
+    The arithmetic runs on poly's kernel for F: _k is that kernel, _m is m's
+    packed value, and _make builds an element from a packed value.
     """
 
     def __init__(self, F, modulus):
@@ -241,16 +251,14 @@ class QuotientRing:
         self.var = modulus.var
         self.deg = modulus.degree()
         self._k = _kernel(F)
-        self._m = self._k.pack(modulus.coeffs)
+        self._m = modulus._p
         # _pad[k] fills a k-entry coordinate list up to deg entries
         self._pad = tuple((F.zero(),) * (self.deg - k) for k in range(self.deg + 1))
 
     def _make(self, P):
         """Element from a packed value of degree < deg, skipping coerce."""
         e = QuotElem.__new__(QuotElem)
-        cs = self._k.unpack(P)
-        e.ring = self
-        e.coords = tuple(cs) + self._pad[len(cs)]
+        e.ring, e._p, e._cs = self, P, None
         return e
 
     @property
@@ -274,8 +282,7 @@ class QuotientRing:
     def from_poly(self, p):
         if p.field != self.F or p.var != self.var:
             raise DegenerateInputError("polynomial from wrong domain")
-        k = self._k
-        return self._make(k.rem(k.pack(p.coeffs), self._m))
+        return self._make(self._k.rem(p._p, self._m))
 
     def coerce(self, x):
         if isinstance(x, QuotElem):

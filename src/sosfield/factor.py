@@ -25,7 +25,6 @@ from .numtheory import is_prime, prime_divisors
 from .poly import (
     Poly,
     _Fp,
-    _kernel,
     _zl_add,
     _zl_divmod,
     _zl_mul,
@@ -135,12 +134,12 @@ def factor_fq(f):
     if f.degree() == 0:
         return Factorization(unit, ())
     F = f.field
-    k, rng = _kernel(F), random.Random(0)
+    k, rng = f._k, random.Random(0)
     factors = []
     for part, mult in _sqf_list_fq(f.monic()):
         for prod, d in _distinct_degree(part):
-            for irr in _equal_degree(k, F, k.pack(prod.coeffs), d, rng):
-                factors.append((Poly._raw(F, k.unpack(irr), f.var), mult))
+            for irr in _equal_degree(k, F, prod._p, d, rng):
+                factors.append((f._new(irr), mult))
     factors.sort(key=lambda t: t[0].sort_key())
     return Factorization(unit, tuple(factors))
 
@@ -171,8 +170,8 @@ def fq_roots(f):
     """
     if f.is_zero():
         raise DegenerateInputError("cannot factor the zero polynomial")
-    F, k = f.field, _kernel(f.field)
-    A, x = k.pack(f.coeffs), k.pack([F.zero(), F.one()])
+    F, k = f.field, f._k
+    A, x = f._p, k.pack([F.zero(), F.one()])
     g = k.gcd(k.sub(k.pow_mod(x, F.order(), A), x), A)
     if k.degree(g) < 1:
         return []
@@ -185,8 +184,7 @@ def fq_split_roots(f):
     Such an f is a product of distinct linear factors, so it is its own
     gcd(T^q - T, f) and goes straight to the degree-1 split of fq_roots.
     """
-    k = _kernel(f.field)
-    return _linear_roots(k, f.field, k.pack(f.coeffs))
+    return _linear_roots(f._k, f.field, f._p)
 
 
 def _linear_roots(k, F, g):
@@ -306,9 +304,8 @@ def _zassenhaus(G):
     if n == 1:
         return [G]
     prime = good_prime(G)
-    Fp = FqField(prime)
-    fbar = Poly(Fp, G, "X").monic()
-    modular = [[c.val for c in g.coeffs] for g, _ in factor_fq(fbar).factors]
+    fbar = Poly(FqField.of_prime(prime), G, "X").monic()
+    modular = [g._p for g, _ in factor_fq(fbar).factors]
     if len(modular) == 1:
         return [G]
     maxc = max(abs(c) for c in G)

@@ -152,6 +152,13 @@ class FqField:
         self.q = q
         self.char = q
 
+    @classmethod
+    def of_prime(cls, q):
+        """F_q for an odd q the caller has proved prime, with no second proof."""
+        F = cls.__new__(cls)
+        F.q = F.char = q
+        return F
+
     def zero(self):
         return FqElem(0, self.q)
 

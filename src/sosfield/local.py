@@ -76,23 +76,30 @@ class BasePlace:
         self.uniformizer = uniformizer
 
     @classmethod
+    def of_prime(cls, base, pi):
+        """The place of a uniformizer the caller has proved prime, with no second proof.
+
+        pi is an odd prime of Z (as numtheory.primes yields them) or a monic
+        irreducible of k[X].
+        """
+        place = cls.__new__(cls)
+        place.base, place.uniformizer = base, pi
+        return place
+
+    @classmethod
     def of_monic(cls, base, pi):
         """The place of a monic nonconstant pi over k(X), or None when pi is reducible.
 
         The same irreducibility proof as the constructor, without the error.
         """
-        if not _irreducible(base.k, pi):
-            return None
-        place = cls.__new__(cls)
-        place.base, place.uniformizer = base, pi
-        return place
+        return cls.of_prime(base, pi) if _irreducible(base.k, pi) else None
 
     def residue_field(self):
         if self._residue is None:
             if self.base.kind == "Q":
-                self._residue = FqField(self.uniformizer)
+                self._residue = FqField.of_prime(self.uniformizer)
             else:
-                mod = Poly(self.base.k, self.uniformizer.coeffs, "x")
+                mod = Poly._from(self.base.k, self.uniformizer._p, "x")
                 self._residue = QuotientRing(self.base.k, mod)
         return self._residue
 
@@ -123,7 +130,8 @@ class BasePlace:
         R = self.residue_field()
         if self.base.kind == "Q":
             return R.from_int(r % self.uniformizer)
-        return R.from_poly(Poly(self.base.k, (r % self.uniformizer).coeffs, "x"))
+        # from_poly reduces mod the residue modulus, which is the uniformizer in x
+        return R.from_poly(Poly._from(self.base.k, r._p, "x"))
 
     def reduce(self, e):
         """Image of an integral base field element in the residue field."""
@@ -144,7 +152,7 @@ class BasePlace:
         """Canonical ring representative of a residue class."""
         if self.base.kind == "Q":
             return c.val
-        return Poly(self.base.k, c.coords, "X")
+        return Poly._from(self.base.k, c._p, "X")
 
     def reduce_poly(self, f):
         R = self.residue_field()

@@ -6,9 +6,12 @@ so the same code serves Q[T], F_q[X], Q(X)[T] and F_q(X)[T].
 
 The arithmetic runs on one kernel per coefficient field, which _kernel picks
 once and keeps on the field object; nothing else chooses a representation.
-A kernel packs field elements into its own form, computes on packed values
-and unpacks the result, so Poly.coeffs (and extension.QuotElem.coords) stay
-tuples of field elements:
+A Poly (and an extension.QuotElem) stores its kernel's packed value, and its
+operations compute on packed values alone.  Field elements are made only when
+coefficients are read: Poly.coeffs (and QuotElem.coords) is unpacked on first
+read and cached, for rendering, hashing, coeff and lc.  Packed values are
+canonical, so == compares them directly when both sides share a kernel type.
+The kernels are:
 
 - _Fp, for a prime field F_q: int lists mod q.  factor.py's Hensel lifting
   uses the same (Z/M)[X] functions with M = p^k.
@@ -337,18 +340,15 @@ class _Kr(_Kernel):
         self.s = 2 * R.deg - 1
 
     def pack(self, cs):
-        if self.d == 1:
-            return _zl_trim([c.coords[0].val for c in cs])
-        pad = [0] * (self.d - 1)
-        out = []
+        s, out = self.s, []
         for c in cs:
-            out += [x.val for x in c.coords]
-            out += pad
+            out += c._p
+            out += [0] * (s - len(c._p))
         return _zl_trim(out)
 
     def unpack(self, P):
         make, d = self.R._make, self.d
-        return [make(P[i : i + d]) for i in range(0, len(P), self.s)]
+        return [make(_zl_trim(P[i : i + d])) for i in range(0, len(P), self.s)]
 
     def _reduce(self, P):
         """Reduce each chunk of P (chunks of degree < s, any ints) mod pi and p."""
@@ -377,7 +377,7 @@ class _Kr(_Kernel):
     def inv_lc(self, A):
         """ZeroDivisorError from QuotElem.inverse when lc(A) is a zero divisor."""
         lc = A[(len(A) - 1) // self.s * self.s :]
-        return lc if lc == [1] else self.R._k.pack(self.R._make(lc).inverse().coords)
+        return lc if lc == [1] else self.R._make(lc).inverse()._p
 
     def divmod(self, A, B):
         """Quotient and remainder by a nonzero reduced B; lc(B) is inverted first."""
@@ -478,44 +478,68 @@ def _kernel(F):
     return k
 
 
-class Poly:
-    """Immutable dense polynomial over a field object, in one named variable."""
+def _coerced(field, values):
+    """The values as elements of field; DegenerateInputError for one that does not coerce."""
+    out = []
+    for c in values:
+        e = field.coerce(c)
+        if e is None:
+            raise DegenerateInputError(f"cannot coerce {c!r} into {field!r}")
+        out.append(e)
+    return out
 
-    __slots__ = ("field", "coeffs", "var")
+
+class Poly:
+    """Immutable dense polynomial over a field object, in one named variable.
+
+    It stores the packed value _p of its field's kernel _k.  coeffs, the
+    tuple of field elements, is kept from the constructor, or unpacked from
+    _p on first read and then cached.
+    """
+
+    __slots__ = ("field", "var", "_k", "_p", "_cs")
 
     def __init__(self, field, coeffs, var):
-        cs = []
-        for c in coeffs:
-            e = field.coerce(c)
-            if e is None:
-                raise DegenerateInputError(f"cannot coerce {c!r} into {field!r}")
-            cs.append(e)
+        cs = _coerced(field, coeffs)
         while cs and not cs[-1]:
             cs.pop()
-        _kernel(field)
         self.field = field
-        self.coeffs = tuple(cs)
         self.var = var
+        self._k = _kernel(field)
+        self._p = self._k.pack(cs)
+        self._cs = tuple(cs)
+
+    def _new(self, P):
+        """A Poly over this one's field and variable from a packed value."""
+        p = Poly.__new__(Poly)
+        p.field, p.var, p._k, p._p, p._cs = self.field, self.var, self._k, P, None
+        return p
 
     @classmethod
-    def _raw(cls, field, coeffs, var):
-        """Poly from a kernel's unpacked result (trimmed field elements), skipping coerce."""
+    def _from(cls, field, P, var):
+        """A Poly from a packed value of the kernel of field."""
         p = cls.__new__(cls)
-        p.field = field
-        p.coeffs = tuple(coeffs)
-        p.var = var
+        p.field, p.var, p._k, p._p, p._cs = field, var, _kernel(field), P, None
         return p
+
+    @property
+    def coeffs(self):
+        """The coefficients as field elements, lowest degree first, no trailing zeros."""
+        cs = self._cs
+        if cs is None:
+            cs = self._cs = tuple(self._k.unpack(self._p))
+        return cs
 
     @classmethod
     def gen(cls, field, var):
         return cls(field, [field.zero(), field.one()], var)
 
     def is_zero(self):
-        return not self.coeffs
+        return self._k.is_zero(self._p)
 
     def degree(self):
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return self._k.degree(self._p)
 
     def lc(self):
         if self.is_zero():
@@ -528,130 +552,121 @@ class Poly:
     def coeff(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
 
-    def _wrap(self, other):
+    def _packed(self, other):
+        """The packed value of a Poly over the same domain or of a constant, else NotImplemented."""
         if isinstance(other, Poly):
-            if (other.field is not self.field and other.field != self.field) or other.var != self.var:
+            if other.var != self.var or (other.field is not self.field and other.field != self.field):
                 raise DegenerateInputError("mixed polynomial domains")
-            return other
+            return other._p
         c = self.field.coerce(other)
         if c is None:
             return NotImplemented
-        return Poly(self.field, [c], self.var)
+        return self._k.pack([c])
 
     def __add__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        P = self._packed(other)
+        if P is NotImplemented:
             return NotImplemented
-        F = self.field
-        k = F._kernel
-        return Poly._raw(F, k.unpack(k.add(k.pack(self.coeffs), k.pack(other.coeffs))), self.var)
+        return self._new(self._k.add(self._p, P))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        P = self._packed(other)
+        if P is NotImplemented:
             return NotImplemented
-        F = self.field
-        k = F._kernel
-        return Poly._raw(F, k.unpack(k.sub(k.pack(self.coeffs), k.pack(other.coeffs))), self.var)
+        return self._new(self._k.sub(self._p, P))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        return Poly._raw(self.field, [-c for c in self.coeffs], self.var)
+        return self._new(self._k.sub(self._k.zero, self._p))
 
     def __mul__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        P = self._packed(other)
+        if P is NotImplemented:
             return NotImplemented
-        F = self.field
-        k = F._kernel
-        return Poly._raw(F, k.unpack(k.mul(k.pack(self.coeffs), k.pack(other.coeffs))), self.var)
+        return self._new(self._k.mul(self._p, P))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise DegenerateInputError("negative polynomial power")
-        result = Poly(self.field, [self.field.one()], self.var)
-        base = self
+        k, result, base = self._k, self._k.one, self._p
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = k.mul(result, base)
             n >>= 1
-        return result
+            if n:
+                base = k.mul(base, base)
+        return self._new(result)
+
+    def _divisor(self, other):
+        """other's packed value as a divisor: ZeroDivisionError when it is zero."""
+        P = self._packed(other)
+        if P is not NotImplemented and self._k.is_zero(P):
+            raise ZeroDivisionError("polynomial division by zero")
+        return P
 
     def __divmod__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        P = self._divisor(other)
+        if P is NotImplemented:
             return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        F, var = self.field, self.var
-        k = F._kernel
-        q, r = k.divmod(k.pack(self.coeffs), k.pack(other.coeffs))
-        return Poly._raw(F, k.unpack(q), var), Poly._raw(F, k.unpack(r), var)
+        q, r = self._k.divmod(self._p, P)
+        return self._new(q), self._new(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        P = self._divisor(other)
+        if P is NotImplemented:
             return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
-        k = F._kernel
-        return Poly._raw(F, k.unpack(k.rem(k.pack(self.coeffs), k.pack(other.coeffs))), self.var)
+        return self._new(self._k.rem(self._p, P))
 
     def __truediv__(self, other):
         """Division by a constant, or exact polynomial division."""
-        other = self._wrap(other)
-        if other is NotImplemented:
+        P = self._divisor(other)
+        if P is NotImplemented:
             return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if other.degree() == 0:
-            inv = self.field.one() / other.coeffs[0]
-            return self * inv
-        q, r = divmod(self, other)
-        if r.is_zero():
-            return q
+        k = self._k
+        if k.degree(P) == 0:
+            return self._new(k.mul(self._p, k.inv_lc(P)))
+        q, r = k.divmod(self._p, P)
+        if k.is_zero(r):
+            return self._new(q)
         raise DegenerateInputError("non-exact polynomial division")
 
     def __rtruediv__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        P = self._packed(other)
+        if P is NotImplemented:
             return NotImplemented
-        return other / self
+        return self._new(P) / self
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return (
-                self.field == other.field
-                and self.var == other.var
-                and self.coeffs == other.coeffs
-            )
-        c = self.field.coerce(other)
-        if c is None:
+            if other.var != self.var or (other.field is not self.field and other.field != self.field):
+                return False
+            if type(other._k) is not type(self._k):  # an equal field on another kernel
+                return self.coeffs == other.coeffs
+            return self._p == other._p
+        P = self._packed(other)
+        if P is NotImplemented:
             return NotImplemented
-        return self.coeffs == () if c == self.field.zero() else self.coeffs == (c,)
+        return self._p == P
 
     def __hash__(self):
         return hash((self.field, self.var, self.coeffs))
 
     def __bool__(self):
-        return not self.is_zero()
+        return not self._k.is_zero(self._p)
 
     def monic(self):
         if self.is_zero():
             raise DegenerateInputError("zero polynomial cannot be made monic")
-        k = self.field._kernel
-        return Poly._raw(self.field, k.unpack(k.monic(k.pack(self.coeffs))), self.var)
+        return self._new(self._k.monic(self._p))
 
     def derivative(self):
         return Poly(
@@ -662,9 +677,9 @@ class Poly:
 
     def __call__(self, point):
         """Horner evaluation. `point` must live in the coefficient domain."""
-        k = self.field._kernel
+        k = self._k
         if type(k) is _Fp and type(point) is FqElem and point.q == k.q:
-            return FqElem(k.eval(k.pack(self.coeffs), point.val), k.q)
+            return FqElem(k.eval(self._p, point.val), k.q)
         acc = self.field.zero() * point if not isinstance(point, (int, Fraction)) else self.field.zero()
         for c in reversed(self.coeffs):
             acc = acc * point + c
@@ -682,22 +697,21 @@ class Poly:
 
 def _operands(a, b):
     """(kernel, packed a, packed b) for polys a and b over one field and variable."""
-    if not isinstance(b, Poly) or (b.field is not a.field and b.field != a.field) or b.var != a.var:
+    if not isinstance(b, Poly):
         raise DegenerateInputError("mixed polynomial domains")
-    k = a.field._kernel
-    return k, k.pack(a.coeffs), k.pack(b.coeffs)
+    return a._k, a._p, a._packed(b)
 
 
 def poly_gcd(a, b):
     """Monic gcd over a field; gcd(0, 0) = 0."""
     k, A, B = _operands(a, b)
-    return Poly._raw(a.field, k.unpack(k.gcd(A, B)), a.var)
+    return a._new(k.gcd(A, B))
 
 
 def poly_ext_gcd(a, b):
     """Extended gcd: returns (g, s, t) with g monic (or zero) and s*a + t*b = g."""
     k, A, B = _operands(a, b)
-    return tuple([Poly._raw(a.field, k.unpack(c), a.var) for c in k.ext_gcd(A, B)])
+    return tuple([a._new(c) for c in k.ext_gcd(A, B)])
 
 
 def resultant(a, b):
@@ -735,10 +749,9 @@ def discriminant(f):
 def poly_pow_mod(a, e, m):
     """a**e mod m by square and multiply."""
     k, A, M = _operands(a, m)
-    if m.is_zero():
+    if k.is_zero(M):
         raise ZeroDivisionError("polynomial division by zero")
-    return Poly._raw(a.field, k.unpack(k.pow_mod(A, e, M)), a.var)
-
+    return a._new(k.pow_mod(A, e, M))
 
 
 class RatFunc:
@@ -748,19 +761,20 @@ class RatFunc:
 
     def __init__(self, num, den=None):
         if den is None:
-            den = Poly(num.field, [num.field.one()], num.var)
-        if den.is_zero():
+            den = num._new(num._k.one)
+        elif den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = Poly(num.field, [num.field.one()], num.var)
+        elif num.is_zero():
+            den = num._new(num._k.one)
         else:
             if den.degree() > 0:
                 g = poly_gcd(num, den)
                 if g.degree() > 0:
                     num, den = num // g, den // g
-            lc = den.lc()
-            if lc != den.field.one():
-                num, den = num * (num.field.one() / lc), den.monic()
+            k = den._k
+            inv = k.inv_lc(den._p)
+            if inv != k.one:
+                num, den = num._new(num._k.mul(num._p, inv)), den._new(k.mul(inv, den._p))
         self.num = num
         self.den = den
 
@@ -780,7 +794,7 @@ class RatFunc:
         c = self.num.field.coerce(other)
         if c is None:
             return NotImplemented
-        return RatFunc(Poly(self.num.field, [c], self.num.var))
+        return RatFunc(self.num._new(self.num._k.pack([c])))
 
     def __add__(self, other):
         other = self._wrap(other)

@@ -114,16 +114,16 @@ def height_tuples(n, height):
 def _candidate_places(base, budget, roots_of_unity=1):
     """BasePlaces of the candidates in canonical order, each proved prime once.
 
-    BasePlace.of_monic's proof filters out reducible candidates, which do not
-    count as tried.  Over F_q only degrees d with roots_of_unity | q^d - 1 are
-    enumerated.
+    Over Q, numtheory.primes is the proof.  Over k(X), BasePlace.of_monic's
+    proof filters out reducible candidates, which do not count as tried.
+    Over F_q only degrees d with roots_of_unity | q^d - 1 are enumerated.
     """
     size = budget.size_for(base.label)
     if base.kind == "Q":
         for p in primes(3):
             if p > size:
                 return
-            yield BasePlace(base, p)
+            yield BasePlace.of_prime(base, p)
         return
     k = base.k
     if k != QQ:

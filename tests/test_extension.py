@@ -261,3 +261,15 @@ def test_quot_elem_kernel_zero_divisor_factor():
         with pytest.raises(ZeroDivisorError):
             R.one() / z
     assert (x + 2).inverse() * (x + 2) == R.one()
+
+
+def test_quot_elem_rejects_a_coordinate_it_cannot_coerce():
+    # this once stored the coordinates (None, 0), and the next + raised AttributeError
+    F7 = FqField(7)
+    R = QuotientRing(F7, Poly(F7, [1, 0, 1], "x"))
+    for bad in (["abc"], [1, 2.5], [None]):
+        with pytest.raises(DegenerateInputError, match="cannot coerce"):
+            QuotElem(R, bad)
+    with pytest.raises(DegenerateInputError, match="cannot coerce"):
+        Poly(F7, ["abc"], "x")
+    assert QuotElem(R, [Fraction(1, 2), 3]) == QuotElem(R, [4, 3])

@@ -742,3 +742,100 @@ def test_kernel_registry():
             if x:
                 g, s, _ = poly_ext_gcd(x.rep(), R.modulus)
                 assert g == Poly(R.F, [1], R.var) and x.inverse() == R.from_poly(s)
+
+
+# ---------------------------------------------------------------------------
+# Poly and QuotElem keep their kernel's packed value _p; coeffs and coords are
+# unpacked from it on first read.  Packed values are canonical, so each
+# result's _p is its kernel's pack of its own coefficients, and == and hash
+# agree with a value rebuilt from those coefficients.
+
+
+def _contract_fields():
+    """One coefficient field per kernel, and for each a quotient ring over it."""
+    from sosfield.extension import ExtField, GlobalBase, QuotientRing
+    from sosfield.parsing import parse_poly
+    from sosfield.poly import _Fp, _Generic, _Kr, _Zq
+
+    F7, F5 = FqField(7), FqField(5)
+    residue_5 = QuotientRing(F5, Poly(F5, [2, 0, 1], "x"))  # F_5[x]/(x^2 + 2)
+    gaussian = QuotientRing(QQ, Poly(QQ, [1, 0, 1], "x"))  # Q[x]/(x^2 + 1)
+    f7x, qx = GlobalBase("FF", F7), GlobalBase("FF", QQ)
+    return [
+        (_Fp, F7, QuotientRing(F7, Poly(F7, [1, 0, 1], "x"))),
+        (_Zq, QQ, gaussian),
+        (_Kr, residue_5, QuotientRing(residue_5, Poly(residue_5, [-residue_5.gen(), 0, 1], "T"))),
+        (_Generic, f7x.fraction_field(), ExtField(f7x, parse_poly("T^3-X", f7x.fraction_field()))),
+        (_Generic, qx.fraction_field(), ExtField(qx, parse_poly("T^2-X", qx.fraction_field()))),
+        (_Generic, gaussian, QuotientRing(gaussian, Poly(gaussian, [-3, 0, 1], "T"))),
+    ]
+
+
+def _assert_canonical(r):
+    """r's packed value is its kernel's pack of its coefficients; == and hash match a rebuilt r."""
+    from sosfield.extension import QuotElem
+
+    if isinstance(r, QuotElem):
+        k, rebuilt = r.ring._k, QuotElem(r.ring, r.coords)
+        assert k.pack(r.coords) == r._p
+    else:
+        k, rebuilt = r._k, Poly(r.field, r.coeffs, r.var)
+        assert k.pack(r.coeffs) == r._p
+    assert r == rebuilt and rebuilt == r and hash(r) == hash(rebuilt)
+
+
+def test_packed_values_are_canonical():
+    from sosfield.poly import _kernel
+
+    rng = random.Random(41)
+    for kind, F, R in _contract_fields():
+        assert type(_kernel(F)) is kind and type(R._k) is kind
+        for _ in range(4):
+            # degree <= 2: Bezout cofactors over Q(X) grow fast with the degree
+            a = Poly(F, [F.rand(rng) for _ in range(rng.randint(0, 3))], "T")
+            b = Poly(F, [F.rand(rng) for _ in range(rng.randint(0, 2))] + [F.rand(rng) or F.one()], "T")
+            m = b if b.degree() > 0 else b + Poly.gen(F, "T")
+            results = [a + b, a - b, -a, a * b, b * b, *divmod(a, b), a % b, b.monic(), a**3]
+            results += [poly_gcd(a, b), *poly_ext_gcd(a, b), poly_pow_mod(a, 5, m)]
+            for r in results:
+                _assert_canonical(r)
+            x, y = R.rand(rng), R.rand(rng)
+            results = [x + y, x - y, -x, x * y, x**3, x**0, y * 3, 1 - x]
+            if y:
+                results += [y.inverse(), x / y, y**-2]
+            for r in results:
+                _assert_canonical(r)
+
+
+def test_values_stay_packed(monkeypatch):
+    """*, +, ** and inverse run on packed values; only reading coords unpacks over F_p."""
+    from sosfield.extension import ExtField, GlobalBase, QuotElem, QuotientRing
+    from sosfield.parsing import parse_poly
+    from sosfield.poly import _Fp
+
+    F5, f7x = FqField(5), GlobalBase("FF", FqField(7))
+    R = QuotientRing(F5, Poly(F5, [2, 0, 1], "x"))  # F_5[x]/(x^2 + 2)
+    K = ExtField(f7x, parse_poly("T^3-X", f7x.fraction_field()))
+    X = f7x.fraction_field().gen()
+
+    def cases():
+        """(ring, a, b), built afresh, so that no coordinates are cached."""
+        yield R, QuotElem(R, [1, 2]), QuotElem(R, [3, 4])
+        yield K, K.gen() + X, K.gen() ** 2 - 2 * X + 1
+
+    want = [(a * b, a + b, a**7, a.inverse()) for _, a, b in cases()]
+
+    def refuse(self, P):
+        raise AssertionError("unpacked")
+
+    monkeypatch.setattr(_Fp, "unpack", refuse)
+    results = []
+    for ring, a, b in cases():
+        results.append((a * b, a + b, a**7, a.inverse()))
+        with pytest.raises(AssertionError, match="unpacked"):
+            c = results[-1][0].coords
+            if ring is K:  # coordinates are rational functions; their polynomials unpack
+                c[0].num.coeffs  # noqa: B018
+    monkeypatch.undo()
+    for got, expected in zip(results, want):
+        assert got == expected and [g.coords for g in got] == [e.coords for e in expected]

@@ -442,3 +442,30 @@ def test_sqrt_minus_one_skips_odd_layers(q):
         rec, tried = _first_by_full_scan(K, True)
         assert res.records[0] == rec and res.candidates_tried < tried
         assert rec.base_place.uniformizer.degree() % 2 == 0 and rec.sqrt_minus_one is not None
+
+
+def test_q_candidates_are_proved_prime_once(monkeypatch):
+    """numtheory.primes proves each Q candidate; its place and residue field take it as it is.
+
+    BasePlace and FqField each proved it again, so a seed-1 numfield pass
+    made 39,534 is_prime calls, 26,326 of them in next_prime.
+    """
+    from sosfield import fields, local, numtheory
+
+    field = ExtField(GlobalBase("Q"), parse_poly("T^3-T-1", QQ))
+    want = find_split_places(field, count=2, require_sqrt_minus_one=True)
+    calls = collections.Counter()
+    real = numtheory.is_prime
+    for module in (numtheory, local, fields):
+        monkeypatch.setattr(module, "is_prime", lambda n: calls.update([n]) or real(n))
+    got = find_split_places(field, count=2, require_sqrt_minus_one=True)
+    assert got.candidates_tried == want.candidates_tried == 39
+    assert [(r.base_place, r.roots, r.sqrt_minus_one) for r in got.records] == [
+        (r.base_place, r.roots, r.sqrt_minus_one) for r in want.records
+    ]
+    assert [r.base_place.uniformizer for r in got.records] == [101, 173]
+    assert max(calls.values()) == 1 and calls[173] == 1
+    # a place named from outside (a certificate, --place) is still proved
+    with pytest.raises(DegenerateInputError, match="not prime"):
+        BasePlace(GlobalBase("Q"), 1001)
+    assert calls[1001] == 1
